@@ -13,6 +13,7 @@ exit 2, runtime failures exit 1.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import logging
 import os
@@ -105,7 +106,7 @@ def _set_dotted(config: dict, dotted: str, value: Any) -> None:
 
 
 def load_config(args: argparse.Namespace) -> dict:
-    config = dict(DEFAULTS)
+    config = copy.deepcopy(DEFAULTS)
     if args.config:
         path = Path(args.config)
         if not path.exists():

@@ -20,12 +20,15 @@ alternatives are a one-line change.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .annotator import Lexicon, annotate
-from .lm import LmContract, TokenId
+from .lm import LmContract, LmStep, TokenId
 from .metrics import rouge2
 from .ontology import ClassId, Ontology, UnknownClassError
 
@@ -169,6 +172,36 @@ def window_rescore(lm: LmContract, beams: list[BeamState], onto: Ontology,
     return [by_beam.get(id(b)) for b in beams]
 
 
+def _rank(candidate: tuple[float, int, int, BeamState]) -> tuple[float, int, int]:
+    score, idx, token, _ = candidate
+    return -score, idx, token
+
+
+def _expansions(step: LmStep, beam: BeamState, idx: int, chosen_counts: Counter[TokenId],
+                diversity_penalty: float,
+                per_group: int) -> Iterator[tuple[float, int, int, BeamState]]:
+    """Candidates that can reach this beam's top ``per_group``.
+
+    These are the listed tokens and, when unlisted tokens are possible,
+    every penalized token plus the ``per_group`` lowest floor ids without
+    a penalty; any other floor id loses to each of those on the token
+    tie-break (see ``LmStep``).
+    """
+    listed, floor = step.listed, step.floor
+    tokens: Iterable[TokenId] = listed
+    if floor > -math.inf:
+        fill = (t for t in step.logits.unlisted() if t not in chosen_counts)
+        tokens = itertools.chain(
+            listed,
+            (t for t in chosen_counts if t not in listed),
+            itertools.islice(fill, per_group),
+        )
+    for token in tokens:
+        score = (beam.cum_logprob + listed.get(token, floor)
+                 - diversity_penalty * chosen_counts[token])
+        yield score, idx, token, beam
+
+
 def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
            base: ClassId | None, note: str, cfg: DecodeConfig) -> DecodeResult:
     """Run grouped beam search with periodic ontology-guided rescoring.
@@ -206,12 +239,15 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
                     # Finished beams hold their slot and compete by score.
                     candidates.append((beam.cum_logprob, idx, -1, beam))
                     continue
-                step = lm.next_logits(beam.tokens)
-                for token in sorted(step.logits):
-                    score = (beam.cum_logprob + step.logits[token]
-                             - cfg.diversity_penalty * chosen_counts[token])
-                    candidates.append((score, idx, token, beam))
-            candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+                # The group's top per_group lies within the union of each
+                # beam's own top per_group under the same key.
+                candidates += heapq.nsmallest(
+                    per_group,
+                    _expansions(lm.next_logits(beam.tokens), beam, idx,
+                                chosen_counts, cfg.diversity_penalty, per_group),
+                    key=_rank,
+                )
+            candidates.sort(key=_rank)
 
             new_beams: list[BeamState] = []
             group_chosen: list[TokenId] = []

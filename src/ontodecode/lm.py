@@ -11,11 +11,14 @@ top-k-truncated distributions. All log-probabilities are natural log.
 from __future__ import annotations
 
 import abc
+import heapq
+import itertools
 import json
 import logging
 import math
 import time
 from collections import Counter
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -34,17 +37,81 @@ class LmUnavailableError(RuntimeError):
     """The remote backend stayed unreachable across retries."""
 
 
+class SparseLogits(Mapping[TokenId, float]):
+    """Read-only view of a full distribution stored as a few listed entries.
+
+    Every id in ``range(vocab_size)`` that ``listed`` does not hold has the
+    ``floor`` log-probability. Reading, iterating and comparing the view
+    behaves like the dense dict it stands for, while building it costs
+    only the listed entries.
+    """
+
+    __slots__ = ("listed", "floor", "vocab_size")
+
+    def __init__(self, listed: dict[TokenId, float], floor: float, vocab_size: int):
+        self.listed = listed
+        self.floor = floor
+        self.vocab_size = vocab_size
+
+    def __getitem__(self, token: TokenId) -> float:
+        value = self.listed.get(token)
+        if value is not None:
+            return value
+        if isinstance(token, int) and 0 <= token < self.vocab_size:
+            return self.floor
+        raise KeyError(token)
+
+    def __iter__(self) -> Iterator[TokenId]:
+        return iter(range(self.vocab_size))
+
+    def __len__(self) -> int:
+        return self.vocab_size
+
+    def unlisted(self) -> Iterator[TokenId]:
+        """The ids at the floor, in increasing order, generated lazily."""
+        return (t for t in range(self.vocab_size) if t not in self.listed)
+
+
 @dataclass
 class LmStep:
     """Log-probabilities for the next token; may cover only the top k.
 
+    ``logits`` reads as the full distribution. Backends store it in one
+    of two ways, and ``listed``/``floor`` expose either one uniformly:
+
+    - a ``SparseLogits`` view: the listed entries, plus one finite floor
+      log-prob shared by every other id in ``range(vocab_size)`` (the
+      n-gram model's add-one mass for unseen continuations);
+    - a plain dict: the listed entries only, floor ``-inf``, so tokens it
+      leaves out are impossible (remote top-k replies, hand-built LMs).
+
+    The decoder expands a beam over the listed ids, the ids that carry a
+    diversity penalty, and, when the floor is finite, the ``per_group``
+    smallest remaining ids. That is exact: every other id scores the same
+    as those floor ids and loses the (score, beam, token) tie-break to
+    each of them, so it cannot be in the beam's top ``per_group``.
+
     Remote responses also carry the backend's EOS id and vocabulary size.
     """
 
-    logits: dict[TokenId, float]
+    logits: Mapping[TokenId, float]
     truncated: bool = False
     eos_id: TokenId | None = None
     vocab_size: int | None = None
+
+    @property
+    def listed(self) -> Mapping[TokenId, float]:
+        """The explicitly stored log-probs."""
+        if isinstance(self.logits, SparseLogits):
+            return self.logits.listed
+        return self.logits
+
+    @property
+    def floor(self) -> float:
+        """Log-prob of every id in the vocabulary that ``listed`` leaves out."""
+        if isinstance(self.logits, SparseLogits):
+            return self.logits.floor
+        return -math.inf
 
 
 class LmContract(abc.ABC):
@@ -67,10 +134,11 @@ class NgramLm(LmContract):
     """Whitespace-token n-gram model with add-one smoothing.
 
     The vocabulary is fixed at training time (first-occurrence order, EOS
-    last); the full distribution is returned at every step, so the
-    exponentiated logits sum to exactly one. EOS is predictable but never
-    a counted event: it holds only its add-one pseudo-count, so observed
-    continuations always outweigh stopping.
+    last); the full distribution is returned at every step, as the
+    context's observed followers plus one floor log-prob for every unseen
+    token, so the exponentiated logits sum to exactly one. EOS is
+    predictable but never a counted event: it holds only its add-one
+    pseudo-count, so observed continuations always outweigh stopping.
     """
 
     def __init__(self, words: list[str], order: int,
@@ -111,11 +179,8 @@ class NgramLm(LmContract):
         total = self._context_totals.get(context, 0)
         followers = self._follower_counts.get(context, {})
         denom = total + self.vocab_size
-        logits = {
-            tid: math.log((followers.get(tid, 0) + 1) / denom)
-            for tid in range(self.vocab_size)
-        }
-        return LmStep(logits=logits, truncated=False)
+        listed = {tid: math.log((n + 1) / denom) for tid, n in followers.items()}
+        return LmStep(logits=SparseLogits(listed, math.log(1 / denom), self.vocab_size))
 
 
 def train_ngram(corpus: list[str], n: int) -> NgramLm:
@@ -197,6 +262,7 @@ def remote_next_logits(endpoint: str, prefix: list[TokenId], top_k: int, *,
     for key in ("tokens", "eos_id", "vocab_size"):
         if key not in data:
             raise LmProtocolError(f"logits response missing field {key!r}")
+    vocab_size = int(data["vocab_size"])
     logits: dict[TokenId, float] = {}
     for entry in data["tokens"]:
         if not isinstance(entry, dict) or "id" not in entry or "logprob" not in entry:
@@ -204,11 +270,16 @@ def remote_next_logits(endpoint: str, prefix: list[TokenId], top_k: int, *,
         logprob = entry["logprob"]
         if not isinstance(logprob, (int, float)) or not math.isfinite(logprob):
             raise LmProtocolError(f"non-finite logprob for token {entry['id']!r}")
-        logits[int(entry["id"])] = float(logprob)
+        tid = int(entry["id"])
+        if not 0 <= tid < vocab_size:
+            raise LmProtocolError(f"token id {tid} outside [0, {vocab_size})")
+        if tid in logits:
+            raise LmProtocolError(f"token id {tid} listed twice")
+        logits[tid] = float(logprob)
     if len(logits) > top_k:
         raise LmProtocolError(f"server returned {len(logits)} tokens for top_k={top_k}")
     return LmStep(logits=logits, truncated=True,
-                  eos_id=int(data["eos_id"]), vocab_size=int(data["vocab_size"]))
+                  eos_id=int(data["eos_id"]), vocab_size=vocab_size)
 
 
 class RemoteLm(LmContract):
@@ -216,7 +287,8 @@ class RemoteLm(LmContract):
 
     ``eos`` and ``vocab_size`` come from the first ``/v1/logits`` response
     and are cached; accessing them before any call triggers one probe
-    request with an empty prefix.
+    request with an empty prefix. A later response that reports different
+    values raises ``LmProtocolError``.
     """
 
     def __init__(self, endpoint: str, top_k: int = 50, *, timeout: float = 30.0,
@@ -229,8 +301,9 @@ class RemoteLm(LmContract):
         self.retries = retries
         self.backoff = backoff
         self._session = requests.Session()
-        self._eos: TokenId | None = None
-        self._vocab_size: int | None = None
+        # (eos_id, vocab_size), set in one assignment so that threads
+        # sharing the client never see half of it.
+        self._meta: tuple[TokenId, int] | None = None
 
     def _post(self, path: str, payload: dict) -> dict:
         return _post_with_retries(
@@ -255,25 +328,28 @@ class RemoteLm(LmContract):
             self.endpoint, prefix, self.top_k, timeout=self.timeout,
             retries=self.retries, backoff=self.backoff, session=self._session,
         )
-        self._eos = step.eos_id
-        self._vocab_size = step.vocab_size
+        meta = (step.eos_id, step.vocab_size)
+        if self._meta is None:
+            self._meta = meta
+        elif meta != self._meta:
+            raise LmProtocolError(
+                f"backend changed (eos_id, vocab_size) from {self._meta} to {meta}"
+            )
         return step
 
-    def _probe(self) -> None:
-        if self._eos is None:
+    def _probe(self) -> tuple[TokenId, int]:
+        if self._meta is None:
             self.next_logits([])
+        assert self._meta is not None
+        return self._meta
 
     @property
     def eos(self) -> TokenId:  # type: ignore[override]
-        self._probe()
-        assert self._eos is not None
-        return self._eos
+        return self._probe()[0]
 
     @property
     def vocab_size(self) -> int:  # type: ignore[override]
-        self._probe()
-        assert self._vocab_size is not None
-        return self._vocab_size
+        return self._probe()[1]
 
 
 # --------------------------------------------------------------------------
@@ -309,6 +385,25 @@ class LmServer:
         self.httpd.server_close()
 
 
+def _rank_key(entry: tuple[TokenId, float]) -> tuple[float, TokenId]:
+    return -entry[1], entry[0]
+
+
+def _top_k(step: LmStep, k: int) -> list[tuple[TokenId, float]]:
+    """The k best (id, log-prob) pairs, by log-prob then lower id.
+
+    Equal to ranking the full distribution, but only the listed entries
+    are sorted: floor ids rank among themselves by id, so the first k of
+    them are all that can reach the top k.
+    """
+    ranked = sorted(step.listed.items(), key=_rank_key)
+    if step.floor > -math.inf:
+        floor = step.floor
+        floor_ids = itertools.islice(step.logits.unlisted(), k)
+        ranked = heapq.merge(ranked, ((t, floor) for t in floor_ids), key=_rank_key)
+    return list(itertools.islice(ranked, k))
+
+
 def _make_handler(lm: LmContract):
     class Handler(BaseHTTPRequestHandler):
         def log_message(self, fmt, *args):  # noqa: N802 - stdlib signature
@@ -340,11 +435,9 @@ def _make_handler(lm: LmContract):
                     top_k = int(payload.get("top_k", 50))
                     if top_k < 1:
                         raise ValueError(f"top_k must be >= 1, got {top_k}")
-                    step = lm.next_logits(prefix)
-                    ranked = sorted(step.logits.items(), key=lambda kv: (-kv[1], kv[0]))
                     tokens = [
                         {"id": tid, "logprob": logprob}
-                        for tid, logprob in ranked[:top_k]
+                        for tid, logprob in _top_k(lm.next_logits(prefix), top_k)
                     ]
                     self._reply(200, {
                         "tokens": tokens,

@@ -42,13 +42,18 @@ class PartialCsrError(RuntimeError):
 
 @dataclass
 class DCF:
-    """Per-domain class-to-frequency map."""
+    """Per-domain class-to-frequency map.
+
+    ``freq`` is filled in an order that follows set iteration, and so the
+    interpreter's hash seed; ``to_dict`` lists classes in id order, so the
+    serialized bytes do not depend on it.
+    """
 
     domain: str
     freq: dict[ClassId, float]
 
     def to_dict(self) -> dict:
-        return {"domain": self.domain, "freq": dict(self.freq)}
+        return {"domain": self.domain, "freq": dict(sorted(self.freq.items()))}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DCF":

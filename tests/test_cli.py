@@ -1,8 +1,14 @@
+import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ontodecode import metrics
+import ontodecode
+from ontodecode import cli, metrics
 from ontodecode.cli import main
 
 from conftest import ADMISSION_NOTES
@@ -205,3 +211,32 @@ class TestCommon:
                            "--domain", "cardio", "--beam-size", "5", "--groups", "2")
         assert code == 2
         assert "divisible" in json.loads(err)["error"]["message"]
+
+
+class TestRepeatedRuns:
+    def test_overrides_leave_defaults_untouched(self, fixture_tree, capsys):
+        before = copy.deepcopy(cli.DEFAULTS)
+        # No config file: the overrides are applied, then the missing
+        # ontology path ends the run with a usage error.
+        code, _, _ = run(capsys, "build-dcf", "--window", "3", "--set", "prune.k=7")
+        assert code == 2
+        assert cli.DEFAULTS == before
+        code, _, _ = run(capsys, "build-dcf", "--config", str(fixture_tree["config"]))
+        assert code == 0
+        assert cli.DEFAULTS == before
+
+    def test_build_dcf_bytes_independent_of_hash_seed(self, fixture_tree, tmp_path):
+        src = str(Path(ontodecode.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("1", "2", "3"):
+            out = tmp_path / f"out-{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run(
+                [sys.executable, "-m", "ontodecode.cli", "build-dcf",
+                 "--config", str(fixture_tree["config"]), "--set", f"output_dir={out}"],
+                env=env, check=True, capture_output=True, timeout=60,
+            )
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 3
+        assert outputs[0] == outputs[1] == outputs[2]

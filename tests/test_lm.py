@@ -202,3 +202,55 @@ class TestRemoteValidation:
     def test_persistent_server_error(self):
         with pytest.raises(LmUnavailableError):
             self.run_against("", status=500, fail_times=99)
+
+    def test_duplicate_token_id_rejected(self):
+        with pytest.raises(LmProtocolError, match="listed twice"):
+            self.run_against(_logits_body([4, 2, 4]))
+
+    @pytest.mark.parametrize("tid", [10, 11, -1])
+    def test_token_id_outside_vocabulary_rejected(self, tid):
+        with pytest.raises(LmProtocolError, match="outside"):
+            self.run_against(_logits_body([0, tid]))
+
+
+def _logits_body(ids: list[int], eos_id: int = 9, vocab_size: int = 10) -> str:
+    return json.dumps({"tokens": [{"id": i, "logprob": -1.0} for i in ids],
+                       "eos_id": eos_id, "vocab_size": vocab_size})
+
+
+def _scripted_server(bodies: list[str]):
+    """Serves ``bodies`` in order, one per request, repeating the last."""
+    state = {"hits": 0}
+
+    class Handler(BaseHTTPRequestHandler):
+        def log_message(self, *args):
+            pass
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            payload = bodies[min(state["hits"], len(bodies) - 1)].encode("utf-8")
+            state["hits"] += 1
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    return httpd
+
+
+@pytest.mark.parametrize("eos_id, vocab_size", [(8, 10), (9, 11)])
+def test_remote_lm_rejects_changed_eos_or_vocab_size(eos_id, vocab_size):
+    httpd = _scripted_server([_logits_body([0]), _logits_body([0], eos_id, vocab_size)])
+    try:
+        remote = RemoteLm(f"http://127.0.0.1:{httpd.server_address[1]}",
+                          top_k=5, timeout=1, retries=1)
+        assert (remote.eos, remote.vocab_size) == (9, 10)
+        with pytest.raises(LmProtocolError, match="changed"):
+            remote.next_logits([1])
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+

@@ -1,0 +1,244 @@
+"""Sparse beam expansion matches the dense full-sort decode bitwise.
+
+``dense_next_logits`` and ``reference_decode`` keep the n-gram
+distribution and the decoder's group loop as they were before beam
+expansion became sparse: every token of the vocabulary gets an explicit
+log-prob, and every (beam, token) pair of a group is scored and sorted.
+The library must return the same text, tokens, score and truncation flag,
+and the served ``/v1/logits`` body must be byte-identical to the dense
+ranking.
+"""
+
+import json
+import math
+import random
+import threading
+from collections import Counter
+
+import pytest
+import requests
+
+from ontodecode.annotator import build_lexicon
+from ontodecode.decoder import BeamState, DecodeConfig, DecodeResult, decode, window_rescore
+from ontodecode.lm import LmContract, LmServer, LmStep, train_ngram
+from ontodecode.ontology import UnknownClassError
+
+from conftest import make_ontology
+
+ONTO = make_ontology([
+    {"id": "A", "label": "w0"},
+    {"id": "B", "label": "w1", "parents": ["A"],
+     "restrictions": [{"kind": "and", "pairs": [{"property": "Has", "value": "C"}]}]},
+    {"id": "C", "label": "w2"},
+])
+LEX = build_lexicon(ONTO)
+
+
+def dense_next_logits(lm, prefix):
+    """The n-gram model's distribution with one entry per vocabulary token."""
+    context = lm._context(prefix)
+    total = lm._context_totals.get(context, 0)
+    followers = lm._follower_counts.get(context, {})
+    denom = total + lm.vocab_size
+    return {
+        tid: math.log((followers.get(tid, 0) + 1) / denom)
+        for tid in range(lm.vocab_size)
+    }
+
+
+def reference_decode(lm, next_logits, prompt, onto, lex, base, note, cfg):
+    """``decode`` with the full sort over every (beam, token) pair."""
+    cfg.validate()
+    if base is not None and base not in onto:
+        raise UnknownClassError(f"unknown class id: {base!r}")
+
+    prompt_ids = lm.tokenize(prompt)
+    per_group = cfg.beam_size // cfg.num_groups
+    groups = [
+        [BeamState(tokens=list(prompt_ids), cum_logprob=0.0, group=g,
+                   window_start=len(prompt_ids), gen_start=len(prompt_ids))]
+        for g in range(cfg.num_groups)
+    ]
+
+    for _ in range(cfg.max_tokens):
+        if all(b.finished for beams in groups for b in beams):
+            break
+        chosen_counts = Counter()
+        for g, beams in enumerate(groups):
+            if all(b.finished for b in beams):
+                continue
+            candidates = []
+            for idx, beam in enumerate(beams):
+                if beam.finished:
+                    candidates.append((beam.cum_logprob, idx, -1, beam))
+                    continue
+                logits = next_logits(beam.tokens)
+                for token in sorted(logits):
+                    score = (beam.cum_logprob + logits[token]
+                             - cfg.diversity_penalty * chosen_counts[token])
+                    candidates.append((score, idx, token, beam))
+            candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+
+            new_beams = []
+            group_chosen = []
+            for score, _, token, parent in candidates[:per_group]:
+                if token == -1:
+                    new_beams.append(parent)
+                    continue
+                new_beams.append(BeamState(
+                    tokens=parent.tokens + [token],
+                    cum_logprob=score,
+                    group=g,
+                    window_start=parent.window_start,
+                    finished=(token == lm.eos),
+                    gen_start=parent.gen_start,
+                ))
+                group_chosen.append(token)
+            groups[g] = new_beams
+            chosen_counts.update(group_chosen)
+
+            active = [b for b in new_beams if not b.finished]
+            window_full = active and (len(active[0].tokens) - active[0].window_start
+                                      >= cfg.window)
+            if window_full or not active:
+                window_rescore(lm, new_beams, onto, lex, base, note, cfg)
+
+    for beams in groups:
+        window_rescore(lm, beams, onto, lex, base, note, cfg)
+
+    ranked = []
+    for g, beams in enumerate(groups):
+        for slot, beam in enumerate(beams):
+            ranked.append((beam.cum_logprob, g * per_group + slot, beam))
+    finished = [r for r in ranked if r[2].finished]
+    pool = finished if finished else ranked
+    best = max(pool, key=lambda r: (r[0], -r[1]))[2]
+
+    generated = [t for t in best.tokens[len(prompt_ids):] if t != lm.eos]
+    return DecodeResult(
+        text=lm.detokenize(generated),
+        truncated=not best.finished,
+        score=best.cum_logprob,
+        tokens=generated,
+    )
+
+
+class _DictLm(LmContract):
+    """Lists a seeded random subset per context as a plain dict (floor -inf).
+
+    Log-probs come from a small set of values, so equal scores are common.
+    """
+
+    def __init__(self, seed: int, vocab_size: int):
+        self.seed = seed
+        self.vocab_size = vocab_size
+        self.eos = vocab_size - 1
+
+    def tokenize(self, text):
+        return [int(w[1:]) for w in text.split()]
+
+    def detokenize(self, ids):
+        return " ".join(f"w{i}" for i in ids if i != self.eos)
+
+    def next_logits(self, prefix):
+        rng = random.Random(f"{self.seed}:{prefix[-2:]}")
+        listed = rng.sample(range(self.vocab_size), rng.randint(1, min(3, self.vocab_size)))
+        return LmStep({t: rng.choice([-0.5, -1.0, -2.0]) for t in listed})
+
+
+def _random_ngram(rng: random.Random):
+    words = [f"w{i}" for i in range(rng.randint(2, 20))]
+    lines = [
+        " ".join(rng.choice(words) for _ in range(rng.randint(1, 8)))
+        for _ in range(rng.randint(2, 6))
+    ]
+    return train_ngram(lines, rng.randint(1, 3)), lines
+
+
+def _random_config(rng: random.Random, penalty: float, groups: int) -> DecodeConfig:
+    max_tokens = rng.randint(2, 7)
+    return DecodeConfig(
+        beam_size=groups * rng.randint(1, 6), num_groups=groups,
+        diversity_penalty=penalty, window=rng.randint(1, max_tokens + 1),
+        max_tokens=max_tokens,
+    )
+
+
+def _assert_same(got: DecodeResult, want: DecodeResult) -> None:
+    assert got.text == want.text
+    assert got.tokens == want.tokens
+    assert got.score.hex() == want.score.hex()
+    assert got.truncated == want.truncated
+
+
+@pytest.mark.parametrize("groups", [1, 2, 3])
+@pytest.mark.parametrize("penalty", [0.0, 0.5, 1.0])
+def test_decode_matches_dense_full_sort(penalty, groups):
+    rng = random.Random(f"ngram:{penalty}:{groups}")
+    orders = set()
+    for _ in range(25):
+        lm, lines = _random_ngram(rng)
+        orders.add(lm.order)
+        cfg = _random_config(rng, penalty, groups)
+        prompt = rng.choice(["", lines[0].split()[0], lines[-1]])
+        base = rng.choice([None, "A", "B"])
+        note = rng.choice(lines)
+        got = decode(lm, prompt, ONTO, LEX, base, note, cfg)
+        want = reference_decode(lm, lambda seq: dense_next_logits(lm, seq),
+                                prompt, ONTO, LEX, base, note, cfg)
+        _assert_same(got, want)
+    assert orders == {1, 2, 3}
+
+
+@pytest.mark.parametrize("groups", [1, 2, 3])
+@pytest.mark.parametrize("penalty", [0.0, 0.5, 1.0])
+def test_plain_dict_steps_match_dense_full_sort(penalty, groups):
+    rng = random.Random(f"dict:{penalty}:{groups}")
+    for seed in range(15):
+        lm = _DictLm(seed, rng.randint(2, 12))
+        cfg = _random_config(rng, penalty, groups)
+        base = rng.choice([None, "A"])
+        got = decode(lm, "w0", ONTO, LEX, base, "w0 w1 w2", cfg)
+        want = reference_decode(lm, lambda seq: lm.next_logits(seq).logits,
+                                "w0", ONTO, LEX, base, "w0 w1 w2", cfg)
+        _assert_same(got, want)
+
+
+def test_ngram_view_equals_dense_distribution():
+    rng = random.Random(7)
+    for _ in range(30):
+        lm, _ = _random_ngram(rng)
+        prefix = [rng.randrange(lm.vocab_size - 1) for _ in range(rng.randint(0, 3))]
+        logits = lm.next_logits(prefix).logits
+        dense = dense_next_logits(lm, prefix)
+        assert list(logits) == list(dense)
+        assert [v.hex() for v in logits.values()] == [v.hex() for v in dense.values()]
+        assert logits == dense
+
+
+def test_served_logits_body_matches_dense_ranking():
+    rng = random.Random(11)
+    words = [f"w{i}" for i in range(15)]
+    lm = train_ngram([" ".join(rng.choice(words) for _ in range(12)) for _ in range(3)], 2)
+    server = LmServer(lm)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        V = lm.vocab_size
+        for top_k in sorted({1, 2, V - 1, V, V + 5}):
+            for _ in range(5):
+                prefix = [rng.randrange(V - 1) for _ in range(rng.randint(0, 3))]
+                reply = requests.post(server.endpoint + "/v1/logits",
+                                      json={"prefix": prefix, "top_k": top_k}, timeout=10)
+                dense = dense_next_logits(lm, prefix)
+                ranked = sorted(dense.items(), key=lambda kv: (-kv[1], kv[0]))
+                want = json.dumps({
+                    "tokens": [{"id": tid, "logprob": lp} for tid, lp in ranked[:top_k]],
+                    "eos_id": lm.eos,
+                    "vocab_size": lm.vocab_size,
+                }).encode("utf-8")
+                assert reply.content == want
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+    assert not thread.is_alive()

@@ -15,7 +15,6 @@ from ontodecode import (
     RemoteLm,
     build_lexicon,
     decode,
-    remote_next_logits,
     train_ngram,
 )
 
@@ -35,7 +34,7 @@ ids = remote.tokenize("the patient")
 print("tokenize('the patient') ->", ids)
 print("detokenize back         ->", repr(remote.detokenize(ids)))
 
-step = remote_next_logits(server.endpoint, ids, top_k=3)
+step = RemoteLm(server.endpoint, top_k=3).next_logits(ids)
 print("top-3 logits after 'the patient':",
       {t: round(lp, 4) for t, lp in step.logits.items()},
       "(truncated)" if step.truncated else "")

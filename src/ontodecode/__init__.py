@@ -20,7 +20,6 @@ from .lm import (
     LmUnavailableError,
     NgramLm,
     RemoteLm,
-    remote_next_logits,
     train_ngram,
 )
 from .metrics import (

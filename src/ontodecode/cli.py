@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import logging
 import os
@@ -56,17 +57,7 @@ DEFAULTS: dict[str, Any] = {
         "endpoint": None,
         "top_k": 50,
     },
-    "decode": {
-        "beam_size": 10,
-        "num_groups": 2,
-        "diversity_penalty": 0.5,
-        "window": 10,
-        "h_bf": 3.0,
-        "p_bf": 10.0,
-        "s_bf": 10.0,
-        "max_tokens": 100,
-        "similarity_full_beam": False,
-    },
+    "decode": {f.name: f.default for f in dataclasses.fields(DecodeConfig)},
     "dcf": {"min_occ": 1, "domains": [], "count": "documents"},
     "prune": {"k": 30, "alpha": 2},
     "task_instruction": "Summarize these clinical notes in a short text.",

@@ -16,6 +16,7 @@ import itertools
 import json
 import logging
 import math
+import threading
 import time
 from collections import Counter
 from collections.abc import Iterator, Mapping
@@ -90,14 +91,10 @@ class LmStep:
     smallest remaining ids. That is exact: every other id scores the same
     as those floor ids and loses the (score, beam, token) tie-break to
     each of them, so it cannot be in the beam's top ``per_group``.
-
-    Remote responses also carry the backend's EOS id and vocabulary size.
     """
 
     logits: Mapping[TokenId, float]
     truncated: bool = False
-    eos_id: TokenId | None = None
-    vocab_size: int | None = None
 
     @property
     def listed(self) -> Mapping[TokenId, float]:
@@ -217,78 +214,14 @@ def train_ngram(corpus: list[str], n: int) -> NgramLm:
 _TRANSIENT = (requests.exceptions.ConnectionError, requests.exceptions.Timeout)
 
 
-def _post_with_retries(url: str, payload: dict, *, timeout: float,
-                       retries: int, backoff: float,
-                       session: requests.Session | None = None) -> dict:
-    post = (session or requests).post
-    last_error: Exception | None = None
-    for attempt in range(retries):
-        try:
-            response = post(url, json=payload, timeout=timeout)
-            if response.status_code >= 500:
-                last_error = LmUnavailableError(
-                    f"{url}: server error {response.status_code}"
-                )
-            else:
-                if response.status_code != 200:
-                    raise LmProtocolError(
-                        f"{url}: unexpected status {response.status_code}: {response.text[:200]}"
-                    )
-                try:
-                    return response.json()
-                except ValueError as exc:
-                    raise LmProtocolError(f"{url}: response is not JSON") from exc
-        except _TRANSIENT as exc:
-            last_error = exc
-        if attempt + 1 < retries:
-            time.sleep(backoff * (2 ** attempt))
-    raise LmUnavailableError(
-        f"{url}: unreachable after {retries} attempts"
-    ) from last_error
-
-
-def remote_next_logits(endpoint: str, prefix: list[TokenId], top_k: int, *,
-                       timeout: float = 30.0, retries: int = 3,
-                       backoff: float = 0.1,
-                       session: requests.Session | None = None) -> LmStep:
-    """Fetch a top-k truncated next-token distribution from a remote backend."""
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
-    data = _post_with_retries(
-        endpoint.rstrip("/") + "/v1/logits",
-        {"prefix": list(prefix), "top_k": top_k},
-        timeout=timeout, retries=retries, backoff=backoff, session=session,
-    )
-    for key in ("tokens", "eos_id", "vocab_size"):
-        if key not in data:
-            raise LmProtocolError(f"logits response missing field {key!r}")
-    vocab_size = int(data["vocab_size"])
-    logits: dict[TokenId, float] = {}
-    for entry in data["tokens"]:
-        if not isinstance(entry, dict) or "id" not in entry or "logprob" not in entry:
-            raise LmProtocolError(f"malformed token entry: {entry!r}")
-        logprob = entry["logprob"]
-        if not isinstance(logprob, (int, float)) or not math.isfinite(logprob):
-            raise LmProtocolError(f"non-finite logprob for token {entry['id']!r}")
-        tid = int(entry["id"])
-        if not 0 <= tid < vocab_size:
-            raise LmProtocolError(f"token id {tid} outside [0, {vocab_size})")
-        if tid in logits:
-            raise LmProtocolError(f"token id {tid} listed twice")
-        logits[tid] = float(logprob)
-    if len(logits) > top_k:
-        raise LmProtocolError(f"server returned {len(logits)} tokens for top_k={top_k}")
-    return LmStep(logits=logits, truncated=True,
-                  eos_id=int(data["eos_id"]), vocab_size=vocab_size)
-
-
 class RemoteLm(LmContract):
     """Client for a backend speaking the HTTP wire protocol.
 
     ``eos`` and ``vocab_size`` come from the first ``/v1/logits`` response
     and are cached; accessing them before any call triggers one probe
     request with an empty prefix. A later response that reports different
-    values raises ``LmProtocolError``.
+    values raises ``LmProtocolError``. Each thread posts through its own
+    ``requests.Session``, and every retried attempt is logged at WARNING.
     """
 
     def __init__(self, endpoint: str, top_k: int = 50, *, timeout: float = 30.0,
@@ -300,16 +233,40 @@ class RemoteLm(LmContract):
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self._session = requests.Session()
+        self._local = threading.local()
         # (eos_id, vocab_size), set in one assignment so that threads
         # sharing the client never see half of it.
         self._meta: tuple[TokenId, int] | None = None
 
     def _post(self, path: str, payload: dict) -> dict:
-        return _post_with_retries(
-            self.endpoint + path, payload, timeout=self.timeout,
-            retries=self.retries, backoff=self.backoff, session=self._session,
-        )
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        url = self.endpoint + path
+        last_error: Exception | None = None
+        for attempt in range(1, self.retries + 1):
+            try:
+                response = session.post(url, json=payload, timeout=self.timeout)
+                status = response.status_code
+                if status == 200:
+                    try:
+                        return response.json()
+                    except ValueError as exc:
+                        raise LmProtocolError(f"{url}: response is not JSON") from exc
+                if status < 500:
+                    raise LmProtocolError(
+                        f"{url}: unexpected status {status}: {response.text[:200]}"
+                    )
+                last_error = LmUnavailableError(f"{url}: server error {status}")
+            except _TRANSIENT as exc:
+                last_error = exc
+            if attempt < self.retries:
+                logger.warning("%s: attempt %d of %d failed, retrying: %s",
+                               url, attempt, self.retries, last_error)
+                time.sleep(self.backoff * (2 ** (attempt - 1)))
+        raise LmUnavailableError(
+            f"{url}: unreachable after {self.retries} attempts"
+        ) from last_error
 
     def tokenize(self, text: str) -> list[TokenId]:
         data = self._post("/v1/tokenize", {"text": text})
@@ -324,18 +281,37 @@ class RemoteLm(LmContract):
         return data["text"]
 
     def next_logits(self, prefix: list[TokenId]) -> LmStep:
-        step = remote_next_logits(
-            self.endpoint, prefix, self.top_k, timeout=self.timeout,
-            retries=self.retries, backoff=self.backoff, session=self._session,
-        )
-        meta = (step.eos_id, step.vocab_size)
+        """The top-k truncated next-token distribution the backend reports."""
+        data = self._post("/v1/logits", {"prefix": list(prefix), "top_k": self.top_k})
+        for key in ("tokens", "eos_id", "vocab_size"):
+            if key not in data:
+                raise LmProtocolError(f"logits response missing field {key!r}")
+        vocab_size = int(data["vocab_size"])
+        logits: dict[TokenId, float] = {}
+        for entry in data["tokens"]:
+            if not isinstance(entry, dict) or "id" not in entry or "logprob" not in entry:
+                raise LmProtocolError(f"malformed token entry: {entry!r}")
+            logprob = entry["logprob"]
+            if not isinstance(logprob, (int, float)) or not math.isfinite(logprob):
+                raise LmProtocolError(f"non-finite logprob for token {entry['id']!r}")
+            tid = int(entry["id"])
+            if not 0 <= tid < vocab_size:
+                raise LmProtocolError(f"token id {tid} outside [0, {vocab_size})")
+            if tid in logits:
+                raise LmProtocolError(f"token id {tid} listed twice")
+            logits[tid] = float(logprob)
+        if len(logits) > self.top_k:
+            raise LmProtocolError(
+                f"server returned {len(logits)} tokens for top_k={self.top_k}"
+            )
+        meta = (int(data["eos_id"]), vocab_size)
         if self._meta is None:
             self._meta = meta
         elif meta != self._meta:
             raise LmProtocolError(
                 f"backend changed (eos_id, vocab_size) from {self._meta} to {meta}"
             )
-        return step
+        return LmStep(logits=logits, truncated=True)
 
     def _probe(self) -> tuple[TokenId, int]:
         if self._meta is None:

@@ -15,6 +15,7 @@ entries into free text.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -209,8 +210,8 @@ def prune_csr(csr: CSR, dcf: DCF, onto: Ontology, k: int, alpha: int) -> CSR:
         raise ValueError(f"k must be >= 1, got {k}")
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    ranked = sorted(dcf.freq.items(), key=lambda item: (-item[1], item[0]))
-    top = [class_id for class_id, _ in ranked[:k]]
+    ranked = heapq.nsmallest(k, dcf.freq.items(), key=lambda item: (-item[1], item[0]))
+    top = [class_id for class_id, _ in ranked]
     keep = set(top)
     for class_id in top:
         if class_id in onto:

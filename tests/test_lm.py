@@ -1,17 +1,18 @@
 import json
+import logging
 import math
 import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from ontodecode.lm import (
     LmProtocolError,
     LmServer,
     LmUnavailableError,
     RemoteLm,
-    remote_next_logits,
     train_ngram,
 )
 
@@ -106,11 +107,11 @@ class TestWireProtocol:
     def test_logits_match_and_truncate(self, served_ngram):
         lm, server = served_ngram
         prefix = lm.tokenize("the")
-        full = remote_next_logits(server.endpoint, prefix, top_k=lm.vocab_size)
+        full = RemoteLm(server.endpoint, top_k=lm.vocab_size).next_logits(prefix)
         assert full.truncated
         assert full.logits == lm.next_logits(prefix).logits
 
-        top2 = remote_next_logits(server.endpoint, prefix, top_k=2)
+        top2 = RemoteLm(server.endpoint, top_k=2).next_logits(prefix)
         assert len(top2.logits) == 2
         local = lm.next_logits(prefix).logits
         # Only tokens from the true distribution, never fabricated ones.
@@ -126,12 +127,41 @@ class TestWireProtocol:
     def test_bad_top_k(self, served_ngram):
         _, server = served_ngram
         with pytest.raises(ValueError):
-            remote_next_logits(server.endpoint, [], top_k=0)
+            RemoteLm(server.endpoint, top_k=0).next_logits([])
+
+    def test_each_thread_posts_through_its_own_session(self, served_ngram, monkeypatch):
+        lm, server = served_ngram
+        remote = RemoteLm(server.endpoint, top_k=2)
+        original = requests.Session.post
+        both_posting = threading.Barrier(2)
+        seen = []
+
+        def post(session, *args, **kwargs):
+            seen.append((threading.get_ident(), id(session)))
+            # Both threads hold their session here at once, so neither
+            # thread id nor session id can be recycled between them.
+            both_posting.wait(timeout=5)
+            return original(session, *args, **kwargs)
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        prefix = lm.tokenize("the")
+        steps = []
+        workers = [threading.Thread(target=lambda: steps.append(remote.next_logits(prefix)))
+                   for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        assert [len(step.logits) for step in steps] == [2, 2]
+        (thread_a, session_a), (thread_b, session_b) = seen
+        assert thread_a != thread_b
+        assert session_a != session_b
 
     def test_unreachable_endpoint(self):
         with pytest.raises(LmUnavailableError, match="3 attempts"):
-            remote_next_logits("http://127.0.0.1:9", [], top_k=1,
-                               timeout=0.2, retries=3, backoff=0.01)
+            RemoteLm("http://127.0.0.1:9", top_k=1, timeout=0.2, retries=3,
+                     backoff=0.01).next_logits([])
 
 
 def _canned_server(body: str, status: int = 200, fail_times: int = 0):
@@ -165,8 +195,8 @@ class TestRemoteValidation:
         httpd, state = _canned_server(body, status, fail_times)
         endpoint = f"http://127.0.0.1:{httpd.server_address[1]}"
         try:
-            return remote_next_logits(endpoint, [1], top_k=top_k,
-                                      timeout=1, retries=3, backoff=0.01), state
+            remote = RemoteLm(endpoint, top_k=top_k, timeout=1, retries=3, backoff=0.01)
+            return remote.next_logits([1]), state
         finally:
             httpd.shutdown()
             httpd.server_close()
@@ -198,6 +228,22 @@ class TestRemoteValidation:
         step, state = self.run_against(body, fail_times=2)
         assert state["hits"] == 3
         assert step.logits == {0: -1.0}
+
+    def test_each_retry_logs_a_warning(self, caplog):
+        body = _logits_body([0])
+        with caplog.at_level(logging.WARNING, logger="ontodecode.lm"):
+            self.run_against(body, fail_times=2)
+        assert len(caplog.records) == 2
+        for attempt, record in enumerate(caplog.records, start=1):
+            assert record.levelno == logging.WARNING
+            assert "/v1/logits" in record.getMessage()
+            assert f"attempt {attempt} of 3" in record.getMessage()
+            assert "server error 500" in record.getMessage()
+
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="ontodecode.lm"):
+            self.run_against(body)
+        assert caplog.records == []
 
     def test_persistent_server_error(self):
         with pytest.raises(LmUnavailableError):

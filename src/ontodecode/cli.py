@@ -388,11 +388,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     for note in notes:
         note_concepts |= {a.class_id for a in annotate(lex, note.text)}
 
+    # Both hallucination rates are 0/0 when the summary tags no concept.
+    tagged = bool(summary_concepts)
     fields: dict[str, Any] = {
-        "hs": metrics.hallucination_score(summary_concepts, note_concepts),
-        "domain_score": None,
-        "groundedness": None,
-        "relevance": None,
+        "hs": metrics.hallucination_score(summary_concepts, note_concepts) if tagged else None,
     }
     if args.reference:
         reference_path = Path(args.reference)
@@ -405,7 +404,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         fields["rougeLsum"] = metrics.rouge_lsum(summary, reference)
         fields["ahs"] = metrics.adjusted_hallucination_score(
             summary_concepts, note_concepts, reference_concepts
-        )
+        ) if tagged else None
     report = metrics.evaluation_report(**fields)
     print(json.dumps(report, indent=2, ensure_ascii=False))
     return 0

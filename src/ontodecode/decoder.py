@@ -70,7 +70,6 @@ class DecodeConfig:
 class BeamState:
     tokens: list[TokenId]
     cum_logprob: float
-    group: int
     window_start: int
     finished: bool = False
     gen_start: int = 0  # index where generated tokens begin (end of prompt)
@@ -182,19 +181,18 @@ def _expansions(step: LmStep, beam: BeamState, idx: int, chosen_counts: Counter[
                 per_group: int) -> Iterator[tuple[float, int, int, BeamState]]:
     """Candidates that can reach this beam's top ``per_group``.
 
-    These are the listed tokens and, when unlisted tokens are possible,
-    every penalized token plus the ``per_group`` lowest floor ids without
-    a penalty; any other floor id loses to each of those on the token
-    tie-break (see ``LmStep``).
+    These are the listed tokens and, when the floor is finite, every
+    penalized token plus the unpenalized ``step.floor_ids``; any
+    other floor id loses to each of those on the token tie-break (see
+    ``LmStep``).
     """
     listed, floor = step.listed, step.floor
     tokens: Iterable[TokenId] = listed
     if floor > -math.inf:
-        fill = (t for t in step.logits.unlisted() if t not in chosen_counts)
         tokens = itertools.chain(
             listed,
             (t for t in chosen_counts if t not in listed),
-            itertools.islice(fill, per_group),
+            step.floor_ids(per_group, skip=chosen_counts),
         )
     for token in tokens:
         score = (beam.cum_logprob + listed.get(token, floor)
@@ -221,9 +219,9 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
     prompt_ids = lm.tokenize(prompt)
     per_group = cfg.beam_size // cfg.num_groups
     groups: list[list[BeamState]] = [
-        [BeamState(tokens=list(prompt_ids), cum_logprob=0.0, group=g,
+        [BeamState(tokens=list(prompt_ids), cum_logprob=0.0,
                    window_start=len(prompt_ids), gen_start=len(prompt_ids))]
-        for g in range(cfg.num_groups)
+        for _ in range(cfg.num_groups)
     ]
 
     for _ in range(cfg.max_tokens):
@@ -233,32 +231,23 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
         for g, beams in enumerate(groups):
             if all(b.finished for b in beams):
                 continue
-            candidates: list[tuple[float, int, int, BeamState]] = []
-            for idx, beam in enumerate(beams):
-                if beam.finished:
-                    # Finished beams hold their slot and compete by score.
-                    candidates.append((beam.cum_logprob, idx, -1, beam))
-                    continue
-                # The group's top per_group lies within the union of each
-                # beam's own top per_group under the same key.
-                candidates += heapq.nsmallest(
-                    per_group,
-                    _expansions(lm.next_logits(beam.tokens), beam, idx,
-                                chosen_counts, cfg.diversity_penalty, per_group),
-                    key=_rank,
-                )
-            candidates.sort(key=_rank)
+            # Finished beams hold their slot and compete by score.
+            candidates = itertools.chain.from_iterable(
+                [(beam.cum_logprob, idx, -1, beam)] if beam.finished
+                else _expansions(lm.next_logits(beam.tokens), beam, idx,
+                                 chosen_counts, cfg.diversity_penalty, per_group)
+                for idx, beam in enumerate(beams)
+            )
 
             new_beams: list[BeamState] = []
             group_chosen: list[TokenId] = []
-            for score, _, token, parent in candidates[:per_group]:
+            for score, _, token, parent in heapq.nsmallest(per_group, candidates, key=_rank):
                 if token == -1:
                     new_beams.append(parent)
                     continue
                 new_beams.append(BeamState(
                     tokens=parent.tokens + [token],
                     cum_logprob=score,
-                    group=g,
                     window_start=parent.window_start,
                     finished=(token == lm.eos),
                     gen_start=parent.gen_start,

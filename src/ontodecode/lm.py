@@ -19,8 +19,8 @@ import math
 import threading
 import time
 from collections import Counter
-from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Container, Iterator, Mapping
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import requests
@@ -68,10 +68,6 @@ class SparseLogits(Mapping[TokenId, float]):
     def __len__(self) -> int:
         return self.vocab_size
 
-    def unlisted(self) -> Iterator[TokenId]:
-        """The ids at the floor, in increasing order, generated lazily."""
-        return (t for t in range(self.vocab_size) if t not in self.listed)
-
 
 @dataclass
 class LmStep:
@@ -87,14 +83,18 @@ class LmStep:
       leaves out are impossible (remote top-k replies, hand-built LMs).
 
     The decoder expands a beam over the listed ids, the ids that carry a
-    diversity penalty, and, when the floor is finite, the ``per_group``
-    smallest remaining ids. That is exact: every other id scores the same
-    as those floor ids and loses the (score, beam, token) tie-break to
-    each of them, so it cannot be in the beam's top ``per_group``.
+    diversity penalty, and ``floor_ids(per_group)`` of the rest. That is
+    exact: every other id scores the same as those floor ids and loses the
+    (score, beam, token) tie-break to each of them, so it cannot be in the
+    beam's top ``per_group``.
     """
 
     logits: Mapping[TokenId, float]
-    truncated: bool = False
+
+    @property
+    def truncated(self) -> bool:
+        """Whether the ids that ``listed`` leaves out are impossible: floor ``-inf``."""
+        return self.floor == -math.inf
 
     @property
     def listed(self) -> Mapping[TokenId, float]:
@@ -109,6 +109,18 @@ class LmStep:
         if isinstance(self.logits, SparseLogits):
             return self.logits.floor
         return -math.inf
+
+    def floor_ids(self, k: int, skip: Container[TokenId] = ()) -> Iterator[TokenId]:
+        """The ``k`` lowest floor ids not in ``skip``, lazily and in increasing order.
+
+        Floor ids share one log-prob and rank among themselves by id, so no
+        other floor id can reach a top ``k``. None when the floor is ``-inf``.
+        """
+        if self.truncated:
+            return iter(())
+        listed = self.listed
+        return itertools.islice(
+            (t for t in range(len(self.logits)) if t not in listed and t not in skip), k)
 
 
 class LmContract(abc.ABC):
@@ -311,7 +323,7 @@ class RemoteLm(LmContract):
             raise LmProtocolError(
                 f"backend changed (eos_id, vocab_size) from {self._meta} to {meta}"
             )
-        return LmStep(logits=logits, truncated=True)
+        return LmStep(logits=logits)
 
     def _probe(self) -> tuple[TokenId, int]:
         if self._meta is None:
@@ -369,14 +381,11 @@ def _top_k(step: LmStep, k: int) -> list[tuple[TokenId, float]]:
     """The k best (id, log-prob) pairs, by log-prob then lower id.
 
     Equal to ranking the full distribution, but only the listed entries
-    are sorted: floor ids rank among themselves by id, so the first k of
-    them are all that can reach the top k.
+    are sorted; ``step.floor_ids(k)`` are already in rank order.
     """
-    ranked = sorted(step.listed.items(), key=_rank_key)
-    if step.floor > -math.inf:
-        floor = step.floor
-        floor_ids = itertools.islice(step.logits.unlisted(), k)
-        ranked = heapq.merge(ranked, ((t, floor) for t in floor_ids), key=_rank_key)
+    floor = step.floor
+    ranked = heapq.merge(sorted(step.listed.items(), key=_rank_key),
+                         ((t, floor) for t in step.floor_ids(k)), key=_rank_key)
     return list(itertools.islice(ranked, k))
 
 

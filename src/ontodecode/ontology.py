@@ -56,14 +56,10 @@ class Ontology:
 
     classes: dict[ClassId, OntologyClass]
     excluded_roots: tuple[ClassId, ...] = ()
-    _children: dict[ClassId, tuple[ClassId, ...]] = field(repr=False, default_factory=dict)
+    _children: dict[ClassId, tuple[ClassId, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        children: dict[ClassId, list[ClassId]] = {cid: [] for cid in self.classes}
-        for cls in self.classes.values():
-            for parent in cls.parents:
-                children[parent].append(cls.id)
-        self._children = {cid: tuple(kids) for cid, kids in children.items()}
+        self._children = _children_map(self.classes)
 
     def __contains__(self, class_id: ClassId) -> bool:
         return class_id in self.classes
@@ -252,14 +248,19 @@ def _check_acyclic(classes: dict[ClassId, OntologyClass]) -> None:
                 stack.pop()
 
 
-def _excluded_branch(
-    classes: dict[ClassId, OntologyClass], excluded_roots: tuple[ClassId, ...]
-) -> set[ClassId]:
+def _children_map(classes: dict[ClassId, OntologyClass]) -> dict[ClassId, tuple[ClassId, ...]]:
+    """Parent id -> child ids, in class order; every class has an entry."""
     children: dict[ClassId, list[ClassId]] = {cid: [] for cid in classes}
     for cls in classes.values():
         for parent in cls.parents:
             children[parent].append(cls.id)
+    return {cid: tuple(kids) for cid, kids in children.items()}
 
+
+def _excluded_branch(
+    classes: dict[ClassId, OntologyClass], excluded_roots: tuple[ClassId, ...]
+) -> set[ClassId]:
+    children = _children_map(classes)
     removed: set[ClassId] = set()
     for root in excluded_roots:
         if root not in classes:

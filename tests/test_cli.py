@@ -156,7 +156,7 @@ class TestScore:
         report = json.loads(out)
         assert report["hs"] == 0.0
         assert "ahs" not in report
-        assert report["domain_score"] is None
+        assert "domain_score" not in report
 
     def test_with_reference_matches_metrics(self, fixture_tree, capsys, tmp_path):
         summary_text = "patient has fever and aspirin was given"
@@ -177,12 +177,25 @@ class TestScore:
             metrics.rouge_lsum(summary_text, reference_text))
         assert 0.0 <= report["ahs"] <= report["hs"] <= 1.0
 
-    def test_summary_without_concepts_errors(self, fixture_tree, capsys, tmp_path):
+    def test_summary_without_concepts_has_null_hs(self, fixture_tree, capsys, tmp_path):
         summary, notes = self._summary_paths(fixture_tree, tmp_path, "nothing here")
-        code, _, err = run(capsys, "score", str(summary), str(notes),
+        code, out, _ = run(capsys, "score", str(summary), str(notes),
                            "--config", str(fixture_tree["config"]))
-        assert code == 1
-        assert json.loads(err)["error"]["type"] == "ValueError"
+        assert code == 0
+        assert json.loads(out) == {"hs": None}
+
+    def test_summary_without_concepts_has_null_ahs(self, fixture_tree, capsys, tmp_path):
+        summary, notes = self._summary_paths(fixture_tree, tmp_path, "nothing here")
+        reference = tmp_path / "reference.txt"
+        reference.write_text("fever treated with aspirin")
+        code, out, _ = run(capsys, "score", str(summary), str(notes),
+                           "--config", str(fixture_tree["config"]),
+                           "--reference", str(reference))
+        assert code == 0
+        report = json.loads(out)
+        assert list(report) == ["rouge1", "rouge2", "rougeLsum", "hs", "ahs"]
+        assert report["hs"] is None
+        assert report["ahs"] is None
 
 
 class TestCommon:

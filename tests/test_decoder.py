@@ -115,7 +115,7 @@ class TestScores:
 class TestWindowRescore:
     def _beam(self, lm, text: str) -> BeamState:
         tokens = lm.tokenize(text)
-        return BeamState(tokens=tokens, cum_logprob=-1.0, group=0, window_start=0)
+        return BeamState(tokens=tokens, cum_logprob=-1.0, window_start=0)
 
     def test_singleton_group_is_noop(self, medical_ontology, medical_lexicon):
         lm = ConstantLm(["aspirin"], "aspirin")

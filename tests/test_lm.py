@@ -11,6 +11,7 @@ import requests
 from ontodecode.lm import (
     LmProtocolError,
     LmServer,
+    LmStep,
     LmUnavailableError,
     RemoteLm,
     train_ngram,
@@ -81,6 +82,52 @@ class TestTrainNgram:
             first = lm.next_logits(prefix).logits
             second = lm.next_logits(prefix).logits
             assert first == second
+
+
+# V = 5: a=0, b=1, c=2, d=3, EOS=4. After "a" the listed ids are b and c,
+# so the floor ids are 0, 3 and 4.
+_ABCD = train_ngram(["a b", "a c", "d a"], 2)
+
+
+class TestLmStep:
+    @pytest.mark.parametrize("k, skip, want", [
+        (2, (), [0, 3]),
+        (0, (), []),
+        (3, (), [0, 3, 4]),
+        (10, (), [0, 3, 4]),
+        (2, {0}, [3, 4]),
+        (10, {1, 3}, [0, 4]),
+        (10, {0, 3, 4}, []),
+    ])
+    def test_floor_ids(self, k, skip, want):
+        step = _ABCD.next_logits(_ABCD.tokenize("a"))
+        assert list(step.floor_ids(k, skip)) == want
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_floor_ids_are_the_lowest_unlisted_in_increasing_order(self, seed):
+        rng = random.Random(seed)
+        lm = random_ngram_lm(rng)
+        for _ in range(20):
+            prefix = [rng.randrange(lm.vocab_size - 1) for _ in range(rng.randint(0, 3))]
+            step = lm.next_logits(prefix)
+            k = rng.randint(0, lm.vocab_size + 1)
+            skip = set(rng.sample(range(lm.vocab_size), rng.randint(0, lm.vocab_size)))
+            at_floor = [t for t in range(lm.vocab_size)
+                        if step.logits[t] == step.floor and t not in step.listed]
+            assert list(step.floor_ids(k, skip)) == [t for t in at_floor if t not in skip][:k]
+
+    @pytest.mark.parametrize("logits", [{}, {0: -0.5, 3: -1.2}])
+    def test_plain_dict_has_no_floor_ids(self, logits):
+        assert list(LmStep(logits).floor_ids(10)) == []
+
+    @pytest.mark.parametrize("make_step, truncated", [
+        (lambda: _ABCD.next_logits(_ABCD.tokenize("a")), False),
+        (lambda: LmStep({1: -0.1, 2: -2.4}), True),
+    ])
+    def test_truncated_means_floor_minus_inf(self, make_step, truncated):
+        step = make_step()
+        assert step.truncated is truncated
+        assert (step.floor == -math.inf) is truncated
 
 
 @pytest.fixture

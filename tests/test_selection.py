@@ -55,7 +55,7 @@ def reference_decode(lm, next_logits, prompt, onto, lex, base, note, cfg):
     prompt_ids = lm.tokenize(prompt)
     per_group = cfg.beam_size // cfg.num_groups
     groups = [
-        [BeamState(tokens=list(prompt_ids), cum_logprob=0.0, group=g,
+        [BeamState(tokens=list(prompt_ids), cum_logprob=0.0,
                    window_start=len(prompt_ids), gen_start=len(prompt_ids))]
         for g in range(cfg.num_groups)
     ]
@@ -88,7 +88,6 @@ def reference_decode(lm, next_logits, prompt, onto, lex, base, note, cfg):
                 new_beams.append(BeamState(
                     tokens=parent.tokens + [token],
                     cum_logprob=score,
-                    group=g,
                     window_start=parent.window_start,
                     finished=(token == lm.eos),
                     gen_start=parent.gen_start,

@@ -10,7 +10,7 @@ reproducible bit-for-bit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ontology import ClassId, Ontology
 
@@ -35,7 +35,7 @@ class Lexicon:
     """Normalized surface form -> class id, plus the longest entry width."""
 
     entries: dict[str, ClassId]
-    max_words: int = 0
+    max_words: int = field(init=False)
 
     def __post_init__(self) -> None:
         widths = [_word_count(form) for form in self.entries]

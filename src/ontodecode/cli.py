@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -65,6 +66,19 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
+# (flag, dotted config key, type, help): each dedicated flag sets one value.
+_FLAGS: tuple[tuple[str, str, type, str], ...] = (
+    ("--k", "prune.k", int, "pruning: number of top classes kept"),
+    ("--alpha", "prune.alpha", int, "pruning: hops expanded below kept classes"),
+    ("--window", "decode.window", int, "decoder: generation window size"),
+    ("--beam-size", "decode.beam_size", int, "decoder: beam size"),
+    ("--groups", "decode.num_groups", int, "decoder: number of beam groups"),
+    ("--h-bf", "decode.h_bf", float, "hierarchy boost factor"),
+    ("--p-bf", "decode.p_bf", float, "property boost factor"),
+    ("--s-bf", "decode.s_bf", float, "similarity boost factor"),
+)
+
+
 class UsageError(ValueError):
     """Bad invocation or configuration; maps to exit code 2."""
 
@@ -84,31 +98,29 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
-def _set_dotted(config: dict, dotted: str, value: Any) -> None:
-    parts = dotted.split(".")
-    target = config
-    for part in parts[:-1]:
-        nxt = target.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            target[part] = nxt
-        target = nxt
-    target[parts[-1]] = value
+def _nested(dotted: str, value: Any) -> dict:
+    """``a.b=v`` -> ``{"a": {"b": v}}``."""
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    return value
 
 
 def load_config(args: argparse.Namespace) -> dict:
-    config = copy.deepcopy(DEFAULTS)
+    """``DEFAULTS``, then the config file, each ``--set`` in order, then the flags.
+
+    Every layer deep-merges onto the ones before it, so an object value
+    replaces only the keys it names.
+    """
+    layers: list[dict] = []
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
+        path = _existing(args.config, "config file")
         try:
             file_config = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(file_config, dict):
             raise UsageError(f"config file {path} must hold a JSON object")
-        config = _deep_merge(config, file_config)
+        layers.append(file_config)
 
     for item in args.set or []:
         if "=" not in item:
@@ -118,23 +130,27 @@ def load_config(args: argparse.Namespace) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        _set_dotted(config, key, value)
+        layers.append(_nested(key, value))
 
-    flag_map = {
-        "k": ("prune", "k"),
-        "alpha": ("prune", "alpha"),
-        "window": ("decode", "window"),
-        "beam_size": ("decode", "beam_size"),
-        "groups": ("decode", "num_groups"),
-        "h_bf": ("decode", "h_bf"),
-        "p_bf": ("decode", "p_bf"),
-        "s_bf": ("decode", "s_bf"),
-    }
-    for flag, (section, key) in flag_map.items():
-        value = getattr(args, flag, None)
+    for _, key, _, _ in _FLAGS:
+        value = getattr(args, key)
         if value is not None:
-            config[section][key] = value
-    return config
+            layers.append(_nested(key, value))
+    return functools.reduce(_deep_merge, layers, copy.deepcopy(DEFAULTS))
+
+
+def _existing(path: str | Path, what: str) -> Path:
+    path = Path(path)
+    if not path.exists():
+        raise UsageError(f"{what} not found: {path}")
+    return path
+
+
+def _read_notes(path: Path) -> list[Note]:
+    notes = read_corpus(path)
+    if not notes:
+        raise UsageError(f"{path} contains no notes")
+    return notes
 
 
 def _require(config: dict, key: str) -> Any:
@@ -155,31 +171,26 @@ def _decode_config(config: dict) -> DecodeConfig:
 
 def _build_lm(config: dict) -> LmContract:
     lm_config = config["lm"]
-    kind = lm_config.get("kind")
+    kind = lm_config["kind"]
     if kind == "ngram":
-        corpus_path = lm_config.get("corpus")
+        corpus_path = lm_config["corpus"]
         if not corpus_path:
             raise UsageError("config value 'lm.corpus' is required for the ngram backend")
-        path = Path(corpus_path)
-        if not path.exists():
-            raise UsageError(f"lm corpus not found: {path}")
+        path = _existing(corpus_path, "lm corpus")
         lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
         if not lines:
             raise UsageError(f"lm corpus {path} is empty")
-        return train_ngram(lines, int(lm_config.get("order", 2)))
+        return train_ngram(lines, int(lm_config["order"]))
     if kind == "remote":
-        endpoint = lm_config.get("endpoint")
+        endpoint = lm_config["endpoint"]
         if not endpoint:
             raise UsageError("config value 'lm.endpoint' is required for the remote backend")
-        return RemoteLm(endpoint, top_k=int(lm_config.get("top_k", 50)))
+        return RemoteLm(endpoint, top_k=int(lm_config["top_k"]))
     raise UsageError(f"unknown lm kind {kind!r}; expected 'ngram' or 'remote'")
 
 
 def _load_ontology(config: dict) -> Ontology:
-    path = Path(_require(config, "ontology_path"))
-    if not path.exists():
-        raise UsageError(f"ontology file not found: {path}")
-    return load_ontology(path)
+    return load_ontology(_existing(_require(config, "ontology_path"), "ontology file"))
 
 
 def _slug(name: str) -> str:
@@ -207,18 +218,8 @@ def _map_jobs(fn: Callable, items: Iterable, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _domain_corpora(notes: list[Note], domains: list[str]) -> list[DomainSpec]:
-    specs = []
-    for domain in domains:
-        docs = [note.text for note in notes if note.domain == domain]
-        if not docs:
-            raise UsageError(f"domain {domain!r} has no documents in the corpus")
-        specs.append(DomainSpec(name=domain, corpus=docs))
-    return specs
-
-
 def _corpus_domains(config: dict, notes: list[Note]) -> list[str]:
-    configured = config["dcf"].get("domains") or []
+    configured = config["dcf"]["domains"]
     if configured:
         return [str(d) for d in configured]
     seen: list[str] = []
@@ -228,24 +229,23 @@ def _corpus_domains(config: dict, notes: list[Note]) -> list[str]:
     return seen
 
 
-def _normalized_dcfs(config: dict, onto: Ontology, lex) -> tuple[list[DCF], DCF, list[str]]:
-    corpus_path = Path(_require(config, "corpus_path"))
-    if not corpus_path.exists():
-        raise UsageError(f"corpus file not found: {corpus_path}")
-    notes = read_corpus(corpus_path)
+def _domain_dcfs(config: dict, onto: Ontology, lex) -> list[DCF]:
+    """One raw DCF per domain of the corpus, in domain order."""
+    notes = read_corpus(_existing(_require(config, "corpus_path"), "corpus file"))
     domains = _corpus_domains(config, notes)
     if len(domains) < 2:
         raise UsageError(
             f"DCF normalization needs at least 2 domains, found {domains or 'none'}"
         )
-    specs = _domain_corpora(notes, domains)
     dcf_cfg = config["dcf"]
-    raws = [
-        build_dcf(onto, lex, spec, min_occ=int(dcf_cfg.get("min_occ", 1)),
-                  count=str(dcf_cfg.get("count", "documents")))
-        for spec in specs
-    ]
-    return normalize_dcf(raws), average_dcf(raws), domains
+    dcfs = []
+    for domain in domains:
+        docs = [note.text for note in notes if note.domain == domain]
+        if not docs:
+            raise UsageError(f"domain {domain!r} has no documents in the corpus")
+        dcfs.append(build_dcf(onto, lex, DomainSpec(name=domain, corpus=docs),
+                              min_occ=int(dcf_cfg["min_occ"]), count=str(dcf_cfg["count"])))
+    return dcfs
 
 
 # --------------------------------------------------------------------------
@@ -257,14 +257,14 @@ def cmd_build_dcf(args: argparse.Namespace) -> int:
     config = load_config(args)
     onto = _load_ontology(config)
     lex = build_lexicon(onto)
-    normalized, average, _ = _normalized_dcfs(config, onto, lex)
+    raws = _domain_dcfs(config, onto, lex)
     out = _output_dir(config)
-    for dcf in normalized:
+    for dcf in normalize_dcf(raws):
         path = out / f"dcf_{_slug(dcf.domain)}.json"
         _write_json(path, dcf.to_dict())
         print(path)
     avg_path = out / "dcf_average.json"
-    _write_json(avg_path, average.to_dict())
+    _write_json(avg_path, average_dcf(raws).to_dict())
     print(avg_path)
     return 0
 
@@ -276,12 +276,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _decode_config(config)
     lm = _build_lm(config)
 
-    note_path = Path(args.note_file)
-    if not note_path.exists():
-        raise UsageError(f"note file not found: {note_path}")
-    notes = read_corpus(note_path)
-    if not notes:
-        raise UsageError(f"note file {note_path} contains no notes")
+    notes = _read_notes(_existing(args.note_file, "note file"))
 
     concepts = None
     if args.concept:
@@ -305,18 +300,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_prune(args: argparse.Namespace) -> int:
     config = load_config(args)
     onto = _load_ontology(config)
-    dcf_path = Path(args.dcf)
-    if not dcf_path.exists():
-        raise UsageError(f"DCF file not found: {dcf_path}")
+    dcf_path = _existing(args.dcf, "DCF file")
     dcf = DCF.from_dict(json.loads(dcf_path.read_text(encoding="utf-8")))
     k = int(config["prune"]["k"])
     alpha = int(config["prune"]["alpha"])
 
     out = _output_dir(config)
     for csr_file in args.csr_files:
-        path = Path(csr_file)
-        if not path.exists():
-            raise UsageError(f"CSR file not found: {path}")
+        path = _existing(csr_file, "CSR file")
         csr = CSR.from_dict(json.loads(path.read_text(encoding="utf-8")))
         pruned = prune_csr(csr, dcf, onto, k=k, alpha=alpha)
         target = out / f"{path.stem}_pruned.json"
@@ -336,11 +327,10 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     notes_path = admission_dir / "notes.jsonl"
     if not notes_path.exists():
         raise UsageError(f"admission directory must contain notes.jsonl: {admission_dir}")
-    notes = read_corpus(notes_path)
-    if not notes:
-        raise UsageError(f"{notes_path} contains no notes")
+    notes = _read_notes(notes_path)
 
-    normalized, _, domains = _normalized_dcfs(config, onto, lex)
+    normalized = normalize_dcf(_domain_dcfs(config, onto, lex))
+    domains = [dcf.domain for dcf in normalized]
     if args.domain not in domains:
         raise UsageError(f"unknown domain {args.domain!r}; known domains: {domains}")
     domain_dcf = next(d for d in normalized if d.domain == args.domain)
@@ -373,15 +363,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     onto = _load_ontology(config)
     lex = build_lexicon(onto)
 
-    summary_path = Path(args.summary)
-    notes_path = Path(args.notes)
-    for path in (summary_path, notes_path):
-        if not path.exists():
-            raise UsageError(f"input file not found: {path}")
-    summary = summary_path.read_text(encoding="utf-8")
-    notes = read_corpus(notes_path)
-    if not notes:
-        raise UsageError(f"{notes_path} contains no notes")
+    summary = _existing(args.summary, "input file").read_text(encoding="utf-8")
+    notes = _read_notes(_existing(args.notes, "input file"))
 
     summary_concepts = {a.class_id for a in annotate(lex, summary)}
     note_concepts: set[str] = set()
@@ -394,10 +377,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         "hs": metrics.hallucination_score(summary_concepts, note_concepts) if tagged else None,
     }
     if args.reference:
-        reference_path = Path(args.reference)
-        if not reference_path.exists():
-            raise UsageError(f"reference file not found: {reference_path}")
-        reference = reference_path.read_text(encoding="utf-8")
+        reference = _existing(args.reference, "reference file").read_text(encoding="utf-8")
         reference_concepts = {a.class_id for a in annotate(lex, reference)}
         fields["rouge1"] = metrics.rouge1(summary, reference)
         fields["rouge2"] = metrics.rouge2(summary, reference)
@@ -412,7 +392,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_serve_ngram(args: argparse.Namespace) -> int:
     config = load_config(args)
-    if config["lm"].get("kind") != "ngram":
+    if config["lm"]["kind"] != "ngram":
         raise UsageError("serve-ngram requires lm.kind == 'ngram'")
     lm = _build_lm(config)
     assert isinstance(lm, NgramLm)
@@ -449,14 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override a config value by dotted key")
     common.add_argument("--jobs", type=int, default=1,
                         help="parallel worker limit for per-note work")
-    common.add_argument("--k", type=int, help="pruning: number of top classes kept")
-    common.add_argument("--alpha", type=int, help="pruning: hops expanded below kept classes")
-    common.add_argument("--window", type=int, help="decoder: generation window size")
-    common.add_argument("--beam-size", dest="beam_size", type=int, help="decoder: beam size")
-    common.add_argument("--groups", type=int, help="decoder: number of beam groups")
-    common.add_argument("--h-bf", dest="h_bf", type=float, help="hierarchy boost factor")
-    common.add_argument("--p-bf", dest="p_bf", type=float, help="property boost factor")
-    common.add_argument("--s-bf", dest="s_bf", type=float, help="similarity boost factor")
+    for flag, key, kind, help_text in _FLAGS:
+        common.add_argument(flag, dest=key, type=kind, help=help_text)
 
     sub = parser.add_subparsers(dest="command", required=True)
 

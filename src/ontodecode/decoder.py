@@ -266,13 +266,9 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
     for beams in groups:
         window_rescore(lm, beams, onto, lex, base, note, cfg)
 
-    ranked: list[tuple[float, int, BeamState]] = []
-    for g, beams in enumerate(groups):
-        for slot, beam in enumerate(beams):
-            ranked.append((beam.cum_logprob, g * per_group + slot, beam))
-    finished = [r for r in ranked if r[2].finished]
-    pool = finished if finished else ranked
-    best = max(pool, key=lambda r: (r[0], -r[1]))[2]
+    # max keeps the first of equal scores: the lowest group, then slot.
+    flat = [beam for beams in groups for beam in beams]
+    best = max([b for b in flat if b.finished] or flat, key=lambda b: b.cum_logprob)
 
     generated = [t for t in best.tokens[len(prompt_ids):] if t != lm.eos]
     return DecodeResult(

@@ -76,10 +76,6 @@ class Ontology:
     def label(self, class_id: ClassId) -> str:
         return self._require(class_id).label
 
-    def children(self, class_id: ClassId) -> tuple[ClassId, ...]:
-        self._require(class_id)
-        return self._children[class_id]
-
     def ancestors(self, class_id: ClassId) -> set[ClassId]:
         """All classes reachable via parent edges, excluding the class itself."""
         self._require(class_id)
@@ -161,9 +157,8 @@ class Ontology:
         _check_acyclic(classes)
 
         excluded_roots = tuple(data.get("excluded_roots", []))
-        removed = _excluded_branch(classes, excluded_roots)
-        if removed:
-            classes = _drop_classes(classes, removed)
+        if excluded_roots:
+            classes = _drop_classes(classes, _excluded_branch(classes, excluded_roots))
 
         return cls(classes=classes, excluded_roots=excluded_roots)
 

@@ -66,6 +66,10 @@ class TestBuildLexicon:
         lex = build_lexicon(onto)
         assert "diabetess" not in lex.entries
 
+    def test_max_words_is_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            Lexicon(entries={}, max_words=3)
+
     def test_plural_collision_is_error(self):
         onto = make_ontology([
             {"id": "One", "label": "heart attack"},

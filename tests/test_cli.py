@@ -97,6 +97,24 @@ class TestPrune:
         pruned = json.loads((fixture_tree["output"] / "csr_note-1_pruned.json").read_text())
         assert [e["class"] for e in pruned["entries"]] == ["Aspirin"]
 
+    def test_set_section_object_keeps_other_keys(self, fixture_tree, capsys):
+        config = str(fixture_tree["config"])
+        notes = fixture_tree["admission"] / "notes.jsonl"
+        run(capsys, "build-dcf", "--config", config)
+        run(capsys, "extract", str(notes), "--config", config)
+        csr_path = fixture_tree["output"] / "csr_note-1.json"
+        dcf_path = fixture_tree["output"] / "dcf_cardio.json"
+        pruned_path = fixture_tree["output"] / "csr_note-1_pruned.json"
+        code, _, _ = run(capsys, "prune", str(csr_path), "--dcf", str(dcf_path),
+                         "--config", config, "--k", "3")
+        assert code == 0
+        by_flag = pruned_path.read_bytes()
+        pruned_path.unlink()
+        code, _, err = run(capsys, "prune", str(csr_path), "--dcf", str(dcf_path),
+                           "--config", config, "--set", 'prune={"k": 3}')
+        assert code == 0, err
+        assert pruned_path.read_bytes() == by_flag
+
 
 class TestSummarize:
     def test_outputs_and_keep_set(self, fixture_tree, capsys):
@@ -224,6 +242,110 @@ class TestCommon:
                            "--domain", "cardio", "--beam-size", "5", "--groups", "2")
         assert code == 2
         assert "divisible" in json.loads(err)["error"]["message"]
+
+
+def _load(*argv: str) -> dict:
+    return cli.load_config(cli.build_parser().parse_args(["build-dcf", *argv]))
+
+
+def _defaults_with(section: str, values: dict) -> dict:
+    expected = copy.deepcopy(cli.DEFAULTS)
+    expected[section].update(values)
+    return expected
+
+
+class TestLoadConfig:
+    @pytest.mark.parametrize("file_decode, argv, expected", [
+        (None, [], {}),
+        ({"window": 4}, [], {"window": 4}),
+        ({"window": 4}, ["--set", "decode.window=5"], {"window": 5}),
+        ({"window": 4}, ["--set", "decode.window=5", "--set", "decode.window=6"],
+         {"window": 6}),
+        ({"window": 4}, ["--set", "decode.window=6", "--set", 'decode={"window": 5}'],
+         {"window": 5}),
+        ({"window": 4, "beam_size": 4},
+         ["--set", 'decode={"window": 5, "h_bf": 1.5}', "--set", "decode.window=6"],
+         {"window": 6, "beam_size": 4, "h_bf": 1.5}),
+        ({"window": 4}, ["--window", "7", "--set", "decode.window=5"], {"window": 7}),
+        (None, ["--set", 'decode={"window": 5}', "--window", "7"], {"window": 7}),
+    ])
+    def test_precedence(self, tmp_path, file_decode, argv, expected):
+        argv = list(argv)
+        if file_decode is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"decode": file_decode}))
+            argv += ["--config", str(path)]
+        assert _load(*argv) == _defaults_with("decode", expected)
+
+    def test_set_section_object_keeps_prune_alpha(self):
+        config = _load("--set", 'prune={"k": 3}')
+        assert config["prune"] == {"k": 3, "alpha": 2}
+
+    def test_set_section_object_keeps_lm_defaults(self):
+        config = _load("--set", 'lm={"kind": "remote", "endpoint": "http://h:1"}')
+        assert config["lm"]["top_k"] == 50
+        assert config["lm"]["order"] == 2
+        assert config == _defaults_with("lm", {"kind": "remote", "endpoint": "http://h:1"})
+
+    @pytest.mark.parametrize("flag, raw, section, key, value", [
+        ("--k", "3", "prune", "k", 3),
+        ("--alpha", "1", "prune", "alpha", 1),
+        ("--window", "4", "decode", "window", 4),
+        ("--beam-size", "6", "decode", "beam_size", 6),
+        ("--groups", "3", "decode", "num_groups", 3),
+        ("--h-bf", "2", "decode", "h_bf", 2.0),
+        ("--p-bf", "2", "decode", "p_bf", 2.0),
+        ("--s-bf", "2", "decode", "s_bf", 2.0),
+    ])
+    def test_flag_sets_its_key(self, flag, raw, section, key, value):
+        config = _load(flag, raw)
+        assert type(config[section][key]) is type(value)
+        assert config == _defaults_with(section, {key: value})
+
+
+class TestMissingInputs:
+    @pytest.mark.parametrize("what, argv", [
+        ("config file", "build-dcf --config {missing}"),
+        ("lm corpus", "extract {notes} --config {config} --set lm.corpus={missing}"),
+        ("ontology file", "build-dcf --config {config} --set ontology_path={missing}"),
+        ("corpus file", "build-dcf --config {config} --set corpus_path={missing}"),
+        ("note file", "extract {missing} --config {config}"),
+        ("DCF file", "prune {notes} --dcf {missing} --config {config}"),
+        ("CSR file", "prune {missing} --dcf {dcf} --config {config}"),
+        ("input file", "score {missing} {notes} --config {config}"),
+        ("input file", "score {summary} {missing} --config {config}"),
+        ("reference file", "score {summary} {notes} --config {config} --reference {missing}"),
+    ])
+    def test_usage_error_names_the_file(self, fixture_tree, capsys, tmp_path, what, argv):
+        paths = {
+            "config": fixture_tree["config"],
+            "notes": fixture_tree["admission"] / "notes.jsonl",
+            "dcf": tmp_path / "dcf.json",
+            "summary": tmp_path / "summary.txt",
+            "missing": tmp_path / "missing.json",
+        }
+        paths["dcf"].write_text(json.dumps({"domain": "cardio", "freq": {}}))
+        paths["summary"].write_text("fever")
+        code, _, err = run(capsys, *(part.format(**paths) for part in argv.split()))
+        assert code == 2
+        assert json.loads(err)["error"] == {
+            "type": "UsageError", "message": f"{what} not found: {paths['missing']}"}
+
+    @pytest.mark.parametrize("argv", [
+        "extract {empty} --config {config}",
+        "summarize {admission} --domain cardio --config {config}",
+        "score {empty} {empty} --config {config}",
+    ])
+    def test_empty_notes_file(self, fixture_tree, capsys, tmp_path, argv):
+        admission = tmp_path / "admission"
+        admission.mkdir()
+        empty = admission / "notes.jsonl"
+        empty.write_text("")
+        paths = {"config": fixture_tree["config"], "admission": admission, "empty": empty}
+        code, _, err = run(capsys, *(part.format(**paths) for part in argv.split()))
+        assert code == 2
+        assert json.loads(err)["error"] == {
+            "type": "UsageError", "message": f"{empty} contains no notes"}
 
 
 class TestRepeatedRuns:

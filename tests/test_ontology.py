@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ontodecode import ontology as ontology_module
 from ontodecode.ontology import (
     Ontology,
     OntologyError,
@@ -127,6 +128,21 @@ class TestLoad:
             onto = make_ontology([{"id": "A", "label": "a"}], excluded_roots=["ghost"])
         assert "A" in onto
         assert "ghost" in caplog.text
+
+    def test_children_map_built_once_without_excluded_roots(self, monkeypatch):
+        calls = []
+        build = ontology_module._children_map
+
+        def counting(classes):
+            calls.append(len(classes))
+            return build(classes)
+
+        monkeypatch.setattr(ontology_module, "_children_map", counting)
+        Ontology.from_dict({"classes": [
+            {"id": "A", "label": "a"},
+            {"id": "B", "label": "b", "parents": ["A"]},
+        ]})
+        assert calls == [2]
 
 
 class TestAncestors:

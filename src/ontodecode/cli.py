@@ -136,7 +136,21 @@ def load_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         if value is not None:
             layers.append(_nested(key, value))
-    return functools.reduce(_deep_merge, layers, copy.deepcopy(DEFAULTS))
+    config = functools.reduce(_deep_merge, layers, copy.deepcopy(DEFAULTS))
+    _check_shape(config, DEFAULTS)
+    return config
+
+
+def _check_shape(config: dict, defaults: dict, prefix: str = "") -> None:
+    """Every key is one ``defaults`` holds, and every object there stays an object."""
+    for key, value in config.items():
+        name = prefix + key
+        if key not in defaults:
+            raise UsageError(f"unknown config key {name!r}")
+        if isinstance(defaults[key], dict):
+            if not isinstance(value, dict):
+                raise UsageError(f"config value {name!r} must be an object")
+            _check_shape(value, defaults[key], name + ".")
 
 
 def _existing(path: str | Path, what: str) -> Path:

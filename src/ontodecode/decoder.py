@@ -186,9 +186,9 @@ def _expansions(step: LmStep, beam: BeamState, idx: int, chosen_counts: Counter[
     other floor id loses to each of those on the token tie-break (see
     ``LmStep``).
     """
-    listed, floor = step.listed, step.floor
+    listed, floor = step.logits, step.floor
     tokens: Iterable[TokenId] = listed
-    if floor > -math.inf:
+    if not step.truncated:
         tokens = itertools.chain(
             listed,
             (t for t in chosen_counts if t not in listed),

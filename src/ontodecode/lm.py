@@ -18,8 +18,8 @@ import logging
 import math
 import threading
 import time
-from collections import Counter
-from collections.abc import Container, Iterator, Mapping
+from collections import Counter, defaultdict
+from collections.abc import Container, Iterator
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -38,49 +38,15 @@ class LmUnavailableError(RuntimeError):
     """The remote backend stayed unreachable across retries."""
 
 
-class SparseLogits(Mapping[TokenId, float]):
-    """Read-only view of a full distribution stored as a few listed entries.
-
-    Every id in ``range(vocab_size)`` that ``listed`` does not hold has the
-    ``floor`` log-probability. Reading, iterating and comparing the view
-    behaves like the dense dict it stands for, while building it costs
-    only the listed entries.
-    """
-
-    __slots__ = ("listed", "floor", "vocab_size")
-
-    def __init__(self, listed: dict[TokenId, float], floor: float, vocab_size: int):
-        self.listed = listed
-        self.floor = floor
-        self.vocab_size = vocab_size
-
-    def __getitem__(self, token: TokenId) -> float:
-        value = self.listed.get(token)
-        if value is not None:
-            return value
-        if isinstance(token, int) and 0 <= token < self.vocab_size:
-            return self.floor
-        raise KeyError(token)
-
-    def __iter__(self) -> Iterator[TokenId]:
-        return iter(range(self.vocab_size))
-
-    def __len__(self) -> int:
-        return self.vocab_size
-
-
 @dataclass
 class LmStep:
     """Log-probabilities for the next token; may cover only the top k.
 
-    ``logits`` reads as the full distribution. Backends store it in one
-    of two ways, and ``listed``/``floor`` expose either one uniformly:
-
-    - a ``SparseLogits`` view: the listed entries, plus one finite floor
-      log-prob shared by every other id in ``range(vocab_size)`` (the
-      n-gram model's add-one mass for unseen continuations);
-    - a plain dict: the listed entries only, floor ``-inf``, so tokens it
-      leaves out are impossible (remote top-k replies, hand-built LMs).
+    ``logits`` holds the listed entries. Every other id in
+    ``range(vocab_size)`` has the ``floor`` log-prob: finite for the
+    n-gram model (its add-one mass for unseen continuations), ``-inf``
+    when the ids left out are impossible (remote top-k replies, hand-built
+    LMs, which leave ``vocab_size`` at 0).
 
     The decoder expands a beam over the listed ids, the ids that carry a
     diversity penalty, and ``floor_ids(per_group)`` of the rest. That is
@@ -89,26 +55,14 @@ class LmStep:
     beam's top ``per_group``.
     """
 
-    logits: Mapping[TokenId, float]
+    logits: dict[TokenId, float]
+    floor: float = -math.inf
+    vocab_size: int = 0
 
     @property
     def truncated(self) -> bool:
-        """Whether the ids that ``listed`` leaves out are impossible: floor ``-inf``."""
+        """Whether the ids that ``logits`` leaves out are impossible: floor ``-inf``."""
         return self.floor == -math.inf
-
-    @property
-    def listed(self) -> Mapping[TokenId, float]:
-        """The explicitly stored log-probs."""
-        if isinstance(self.logits, SparseLogits):
-            return self.logits.listed
-        return self.logits
-
-    @property
-    def floor(self) -> float:
-        """Log-prob of every id in the vocabulary that ``listed`` leaves out."""
-        if isinstance(self.logits, SparseLogits):
-            return self.logits.floor
-        return -math.inf
 
     def floor_ids(self, k: int, skip: Container[TokenId] = ()) -> Iterator[TokenId]:
         """The ``k`` lowest floor ids not in ``skip``, lazily and in increasing order.
@@ -118,9 +72,9 @@ class LmStep:
         """
         if self.truncated:
             return iter(())
-        listed = self.listed
+        listed = self.logits
         return itertools.islice(
-            (t for t in range(len(self.logits)) if t not in listed and t not in skip), k)
+            (t for t in range(self.vocab_size) if t not in listed and t not in skip), k)
 
 
 class LmContract(abc.ABC):
@@ -189,7 +143,7 @@ class NgramLm(LmContract):
         followers = self._follower_counts.get(context, {})
         denom = total + self.vocab_size
         listed = {tid: math.log((n + 1) / denom) for tid, n in followers.items()}
-        return LmStep(logits=SparseLogits(listed, math.log(1 / denom), self.vocab_size))
+        return LmStep(listed, math.log(1 / denom), self.vocab_size)
 
 
 def train_ngram(corpus: list[str], n: int) -> NgramLm:
@@ -207,16 +161,17 @@ def train_ngram(corpus: list[str], n: int) -> NgramLm:
                 ids[word] = len(words)
                 words.append(word)
 
-    context_totals: dict[tuple[TokenId, ...], int] = {}
-    follower_counts: dict[tuple[TokenId, ...], Counter] = {}
+    context_totals: Counter[tuple[TokenId, ...]] = Counter()
+    follower_counts: defaultdict[tuple[TokenId, ...], Counter] = defaultdict(Counter)
     for doc in corpus:
         sequence = [ids[w] for w in doc.split()]
         for t, token in enumerate(sequence):
             context = () if n == 1 else tuple(sequence[max(0, t - (n - 1)):t])
-            context_totals[context] = context_totals.get(context, 0) + 1
-            follower_counts.setdefault(context, Counter())[token] += 1
+            context_totals[context] += 1
+            follower_counts[context][token] += 1
 
-    return NgramLm(words, n, context_totals, follower_counts)
+    # Plain dicts, so that a lookup of an unseen context never inserts it.
+    return NgramLm(words, n, dict(context_totals), dict(follower_counts))
 
 
 # --------------------------------------------------------------------------
@@ -384,7 +339,7 @@ def _top_k(step: LmStep, k: int) -> list[tuple[TokenId, float]]:
     are sorted; ``step.floor_ids(k)`` are already in rank order.
     """
     floor = step.floor
-    ranked = heapq.merge(sorted(step.listed.items(), key=_rank_key),
+    ranked = heapq.merge(sorted(step.logits.items(), key=_rank_key),
                          ((t, floor) for t in step.floor_ids(k)), key=_rank_key)
     return list(itertools.islice(ranked, k))
 

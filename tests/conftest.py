@@ -75,6 +75,11 @@ class ConstantLm(LmContract):
         return LmStep({self.eos: 0.0})
 
 
+def dense(step: LmStep) -> dict[int, float]:
+    """The full distribution ``step`` stands for: one entry per vocabulary id."""
+    return {t: step.logits.get(t, step.floor) for t in range(step.vocab_size)} | step.logits
+
+
 def random_ngram_lm(rng: random.Random, max_words: int = 4,
                     max_lines: int = 5, max_line_len: int = 6) -> NgramLm:
     words = [f"w{i}" for i in range(rng.randint(2, max_words))]

@@ -31,7 +31,7 @@ from ontodecode.metrics import (
 )
 from ontodecode.pipeline import DCF, CSR, DomainSpec, build_dcf, normalize_dcf, prune_csr
 
-from conftest import build_fixture_tree, make_ontology, random_dag
+from conftest import build_fixture_tree, dense, make_ontology, random_dag
 from test_decoder import _ForkLm
 from test_metrics import brute_rouge2
 
@@ -61,7 +61,7 @@ def exhaustive_best_text(lm, max_tokens: int) -> str:
         nonlocal best
         if len(seq) >= max_tokens:
             return
-        logits = lm.next_logits(seq).logits
+        logits = dense(lm.next_logits(seq))
         for token in sorted(logits):
             total = score + logits[token]
             if token == lm.eos:

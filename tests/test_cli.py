@@ -287,6 +287,17 @@ class TestLoadConfig:
         assert config["lm"]["order"] == 2
         assert config == _defaults_with("lm", {"kind": "remote", "endpoint": "http://h:1"})
 
+    @pytest.mark.parametrize("setting, message", [
+        ("dcf=3", "config value 'dcf' must be an object"),
+        ("prune=[1]", "config value 'prune' must be an object"),
+        ("dcf.min_ocu=3", "unknown config key 'dcf.min_ocu'"),
+        ("ontology_pth=x", "unknown config key 'ontology_pth'"),
+    ])
+    def test_bad_shape_is_usage_error(self, capsys, setting, message):
+        code, _, err = run(capsys, "build-dcf", "--set", setting)
+        assert code == 2
+        assert json.loads(err)["error"] == {"type": "UsageError", "message": message}
+
     @pytest.mark.parametrize("flag, raw, section, key, value", [
         ("--k", "3", "prune", "k", 3),
         ("--alpha", "1", "prune", "alpha", 1),

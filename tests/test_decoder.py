@@ -17,7 +17,7 @@ from ontodecode.lm import LmContract, LmStep
 from ontodecode.metrics import rouge2
 from ontodecode.ontology import UnknownClassError
 
-from conftest import ConstantLm, make_ontology, random_dag, random_ngram_lm
+from conftest import ConstantLm, dense, make_ontology, random_dag, random_ngram_lm
 
 
 def _config(**overrides) -> DecodeConfig:
@@ -222,7 +222,7 @@ class TestDecode:
                          Lexicon(entries={}), None, "", cfg)
             seq: list[int] = []
             for _ in range(6):
-                logits = lm.next_logits(seq).logits
+                logits = dense(lm.next_logits(seq))
                 token = max(sorted(logits), key=lambda t: logits[t])
                 seq.append(token)
                 if token == lm.eos:
@@ -299,7 +299,7 @@ def _vanilla_beam_text(lm, prompt_ids: list[int], beam_size: int, max_tokens: in
             if done:
                 candidates.append((score, idx, -1, seq, True))
                 continue
-            logits = lm.next_logits(seq).logits
+            logits = dense(lm.next_logits(seq))
             for token in sorted(logits):
                 candidates.append((score + logits[token], idx, token,
                                    seq + [token], token == lm.eos))

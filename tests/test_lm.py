@@ -17,7 +17,7 @@ from ontodecode.lm import (
     train_ngram,
 )
 
-from conftest import random_ngram_lm
+from conftest import dense, random_ngram_lm
 
 
 class TestTrainNgram:
@@ -33,9 +33,9 @@ class TestTrainNgram:
         step = lm.next_logits([])
         x = lm.tokenize("x")[0]
         # x counted once, EOS holds only its pseudo-count; V = 2
-        assert math.exp(step.logits[x]) == pytest.approx(2 / 3)
-        assert math.exp(step.logits[lm.eos]) == pytest.approx(1 / 3)
-        assert step.logits[x] > step.logits[lm.eos]
+        assert math.exp(dense(step)[x]) == pytest.approx(2 / 3)
+        assert math.exp(dense(step)[lm.eos]) == pytest.approx(1 / 3)
+        assert dense(step)[x] > dense(step)[lm.eos]
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -70,8 +70,8 @@ class TestTrainNgram:
         for _ in range(100):
             prefix = [rng.randrange(lm.vocab_size - 1) for _ in range(rng.randint(0, 6))]
             step = lm.next_logits(prefix)
-            assert set(step.logits) == set(range(lm.vocab_size))
-            assert sum(math.exp(v) for v in step.logits.values()) == pytest.approx(1.0, abs=1e-6)
+            assert set(dense(step)) == set(range(lm.vocab_size))
+            assert sum(math.exp(v) for v in dense(step).values()) == pytest.approx(1.0, abs=1e-6)
             assert not step.truncated
 
     def test_bitwise_determinism(self):
@@ -79,8 +79,8 @@ class TestTrainNgram:
         for _ in range(20):
             lm = random_ngram_lm(rng)
             prefix = [0] if lm.vocab_size > 1 else []
-            first = lm.next_logits(prefix).logits
-            second = lm.next_logits(prefix).logits
+            first = dense(lm.next_logits(prefix))
+            second = dense(lm.next_logits(prefix))
             assert first == second
 
 
@@ -113,8 +113,33 @@ class TestLmStep:
             k = rng.randint(0, lm.vocab_size + 1)
             skip = set(rng.sample(range(lm.vocab_size), rng.randint(0, lm.vocab_size)))
             at_floor = [t for t in range(lm.vocab_size)
-                        if step.logits[t] == step.floor and t not in step.listed]
+                        if dense(step)[t] == step.floor and t not in step.logits]
             assert list(step.floor_ids(k, skip)) == [t for t in at_floor if t not in skip][:k]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ngram_lists_only_the_observed_followers(self, seed):
+        rng = random.Random(seed)
+        words = [f"w{i}" for i in range(rng.randint(2, 6))]
+        lines = [[rng.choice(words) for _ in range(rng.randint(1, 6))]
+                 for _ in range(rng.randint(2, 5))]
+        n = rng.randint(1, 3)
+        lm = train_ngram([" ".join(line) for line in lines], n)
+        seen = sorted({w for line in lines for w in line})
+        for _ in range(20):
+            prefix = [rng.choice(seen) for _ in range(rng.randint(0, 3))]
+            context = prefix[max(0, len(prefix) - (n - 1)):]
+            followers = {line[t] for line in lines for t in range(len(line))
+                         if line[max(0, t - (n - 1)):t] == context}
+            step = lm.next_logits(lm.tokenize(" ".join(prefix)))
+            assert len(step.logits) == len(followers)
+            assert set(step.logits) == set(lm.tokenize(" ".join(followers)))
+
+    def test_plain_dict_defaults(self):
+        step = LmStep({0: -0.5})
+        assert step.floor == -math.inf
+        assert step.vocab_size == 0
+        assert step.truncated
+        assert list(step.floor_ids(10)) == []
 
     @pytest.mark.parametrize("logits", [{}, {0: -0.5, 3: -1.2}])
     def test_plain_dict_has_no_floor_ids(self, logits):
@@ -156,11 +181,11 @@ class TestWireProtocol:
         prefix = lm.tokenize("the")
         full = RemoteLm(server.endpoint, top_k=lm.vocab_size).next_logits(prefix)
         assert full.truncated
-        assert full.logits == lm.next_logits(prefix).logits
+        assert full.logits == dense(lm.next_logits(prefix))
 
         top2 = RemoteLm(server.endpoint, top_k=2).next_logits(prefix)
         assert len(top2.logits) == 2
-        local = lm.next_logits(prefix).logits
+        local = dense(lm.next_logits(prefix))
         # Only tokens from the true distribution, never fabricated ones.
         for token, logprob in top2.logits.items():
             assert local[token] == logprob

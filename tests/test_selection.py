@@ -23,7 +23,7 @@ from ontodecode.decoder import BeamState, DecodeConfig, DecodeResult, decode, wi
 from ontodecode.lm import LmContract, LmServer, LmStep, train_ngram
 from ontodecode.ontology import UnknownClassError
 
-from conftest import make_ontology
+from conftest import dense, make_ontology
 
 ONTO = make_ontology([
     {"id": "A", "label": "w0"},
@@ -208,11 +208,11 @@ def test_ngram_view_equals_dense_distribution():
     for _ in range(30):
         lm, _ = _random_ngram(rng)
         prefix = [rng.randrange(lm.vocab_size - 1) for _ in range(rng.randint(0, 3))]
-        logits = lm.next_logits(prefix).logits
-        dense = dense_next_logits(lm, prefix)
-        assert list(logits) == list(dense)
-        assert [v.hex() for v in logits.values()] == [v.hex() for v in dense.values()]
-        assert logits == dense
+        logits = dense(lm.next_logits(prefix))
+        want = dense_next_logits(lm, prefix)
+        assert list(logits) == list(want)
+        assert [v.hex() for v in logits.values()] == [v.hex() for v in want.values()]
+        assert logits == want
 
 
 def test_served_logits_body_matches_dense_ranking():
@@ -229,8 +229,8 @@ def test_served_logits_body_matches_dense_ranking():
                 prefix = [rng.randrange(V - 1) for _ in range(rng.randint(0, 3))]
                 reply = requests.post(server.endpoint + "/v1/logits",
                                       json={"prefix": prefix, "top_k": top_k}, timeout=10)
-                dense = dense_next_logits(lm, prefix)
-                ranked = sorted(dense.items(), key=lambda kv: (-kv[1], kv[0]))
+                want_logits = dense_next_logits(lm, prefix)
+                ranked = sorted(want_logits.items(), key=lambda kv: (-kv[1], kv[0]))
                 want = json.dumps({
                     "tokens": [{"id": tid, "logprob": lp} for tid, lp in ranked[:top_k]],
                     "eos_id": lm.eos,

@@ -6,6 +6,7 @@ from .decoder import (
     DecodeConfig,
     DecodeResult,
     ScoreBreakdown,
+    ScoringContext,
     decode,
     hierarchy_score,
     property_score,

@@ -12,7 +12,8 @@ beams are detokenized, annotated, and scored:
 
 and the log-softmax of H+P+S across the group's beams is added to each
 beam's cumulative log-probability, steering subsequent pruning. All three
-scores define 0/0 as 0. How the window adjustment combines with token
+scores define 0/0 as 0. Neither ROUGE-2 reference changes within one
+decode, so a ``ScoringContext`` counts their bigrams once per decode. How the window adjustment combines with token
 likelihood is a policy choice: adding the log-softmax keeps both terms in
 the log domain, and the policy lives entirely in ``window_rescore`` so
 alternatives are a one-line change.
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .annotator import Lexicon, annotate
 from .lm import LmContract, LmStep, TokenId
-from .metrics import rouge2
+from .metrics import ngram_counts, overlap_f1, rouge2
 from .ontology import ClassId, Ontology, UnknownClassError
 
 
@@ -102,24 +103,67 @@ def hierarchy_score(onto: Ontology, base: ClassId, window_classes: set[ClassId],
     return h_bf * hits / len(window_classes)
 
 
-def property_score(onto: Ontology, base: ClassId, window_classes: set[ClassId],
-                   window_text: str, p_bf: float) -> float:
-    """Restriction-property overlap: class hits plus textual ROUGE-2."""
-    related = onto.restriction_classes(base)
+def _class_term(onto: Ontology, related: set[ClassId], window_classes: set[ClassId],
+                p_bf: float) -> float:
     for c in window_classes:
         if c not in onto:
             raise UnknownClassError(f"unknown class id: {c!r}")
-    if window_classes and related:
-        hits = sum(1 for c in window_classes if c in related)
-        class_term = p_bf * hits / (len(window_classes) * len(related))
-    else:
-        class_term = 0.0
-    return class_term + rouge2(window_text, onto.verbalize_restrictions(base))
+    if not (window_classes and related):
+        return 0.0
+    hits = sum(1 for c in window_classes if c in related)
+    return p_bf * hits / (len(window_classes) * len(related))
+
+
+def property_score(onto: Ontology, base: ClassId, window_classes: set[ClassId],
+                   window_text: str, p_bf: float) -> float:
+    """Restriction-property overlap: class hits plus textual ROUGE-2."""
+    return (_class_term(onto, onto.restriction_classes(base), window_classes, p_bf)
+            + rouge2(window_text, onto.verbalize_restrictions(base)))
 
 
 def similarity_score(window_text: str, note: str, s_bf: float) -> float:
     """Boosted ROUGE-2 between the window text and the source note."""
     return s_bf * rouge2(window_text, note)
+
+
+@dataclass
+class ScoringContext:
+    """What every window of one decode is scored against, counted once.
+
+    The scores equal :func:`hierarchy_score`, :func:`property_score` and
+    :func:`similarity_score`; only the references' bigram counts come
+    from here instead of being recounted per window.
+    """
+
+    onto: Ontology
+    lex: Lexicon
+    base: ClassId | None
+    cfg: DecodeConfig
+    note_bigrams: Counter[tuple[str, ...]]
+    related: set[ClassId] = field(default_factory=set)
+    restriction_bigrams: Counter[tuple[str, ...]] = field(default_factory=Counter)
+
+    @classmethod
+    def build(cls, onto: Ontology, lex: Lexicon, base: ClassId | None, note: str,
+              cfg: DecodeConfig) -> ScoringContext:
+        ctx = cls(onto, lex, base, cfg, ngram_counts(note, 2))
+        if base is not None:
+            ctx.related = onto.restriction_classes(base)
+            ctx.restriction_bigrams = ngram_counts(onto.verbalize_restrictions(base), 2)
+        return ctx
+
+    def scores(self, window_text: str, full_text: str | None) -> tuple[float, float, float]:
+        """H, P and S of one window; S scores ``full_text`` when it is given."""
+        window_bigrams = ngram_counts(window_text, 2)
+        if self.base is None:
+            h = p = 0.0
+        else:
+            classes = {a.class_id for a in annotate(self.lex, window_text)}
+            h = hierarchy_score(self.onto, self.base, classes, self.cfg.h_bf)
+            p = (_class_term(self.onto, self.related, classes, self.cfg.p_bf)
+                 + overlap_f1(window_bigrams, self.restriction_bigrams))
+        s_bigrams = window_bigrams if full_text is None else ngram_counts(full_text, 2)
+        return h, p, self.cfg.s_bf * overlap_f1(s_bigrams, self.note_bigrams)
 
 
 def _log_softmax(raw: list[float]) -> list[float]:
@@ -128,9 +172,8 @@ def _log_softmax(raw: list[float]) -> list[float]:
     return [r - lse for r in raw]
 
 
-def window_rescore(lm: LmContract, beams: list[BeamState], onto: Ontology,
-                   lex: Lexicon, base: ClassId | None, note: str,
-                   cfg: DecodeConfig) -> list[ScoreBreakdown | None]:
+def window_rescore(lm: LmContract, beams: list[BeamState],
+                   ctx: ScoringContext) -> list[ScoreBreakdown | None]:
     """Score one group's current windows and fold the result into the beams.
 
     Beams whose window is empty (already rescored, nothing generated
@@ -145,20 +188,11 @@ def window_rescore(lm: LmContract, beams: list[BeamState], onto: Ontology,
     raws: list[float] = []
     partial: list[tuple[float, float, float]] = []
     for beam in participants:
-        window_ids = [t for t in beam.tokens[beam.window_start:] if t != lm.eos]
-        window_text = lm.detokenize(window_ids)
-        classes = {a.class_id for a in annotate(lex, window_text)}
-        if base is not None:
-            h = hierarchy_score(onto, base, classes, cfg.h_bf)
-            p = property_score(onto, base, classes, window_text, cfg.p_bf)
-        else:
-            h = p = 0.0
-        if cfg.similarity_full_beam:
-            sim_ids = [t for t in beam.tokens[beam.gen_start:] if t != lm.eos]
-            sim_text = lm.detokenize(sim_ids)
-        else:
-            sim_text = window_text
-        s = similarity_score(sim_text, note, cfg.s_bf)
+        window_text = lm.detokenize([t for t in beam.tokens[beam.window_start:] if t != lm.eos])
+        full_text = None
+        if ctx.cfg.similarity_full_beam:
+            full_text = lm.detokenize([t for t in beam.tokens[beam.gen_start:] if t != lm.eos])
+        h, p, s = ctx.scores(window_text, full_text)
         partial.append((h, p, s))
         raws.append(h + p + s)
 
@@ -216,6 +250,7 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
     if base is not None and base not in onto:
         raise UnknownClassError(f"unknown class id: {base!r}")
 
+    ctx = ScoringContext.build(onto, lex, base, note, cfg)
     prompt_ids = lm.tokenize(prompt)
     per_group = cfg.beam_size // cfg.num_groups
     groups: list[list[BeamState]] = [
@@ -253,6 +288,9 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
                     gen_start=parent.gen_start,
                 ))
                 group_chosen.append(token)
+            if not new_beams:
+                raise ValueError(f"the LM returned no next-token candidate for any "
+                                 f"beam of group {g}")
             groups[g] = new_beams
             chosen_counts.update(group_chosen)
 
@@ -260,11 +298,11 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
             window_full = active and (len(active[0].tokens) - active[0].window_start
                                       >= cfg.window)
             if window_full or not active:
-                window_rescore(lm, new_beams, onto, lex, base, note, cfg)
+                window_rescore(lm, new_beams, ctx)
 
     # Flush windows left partial by max_tokens truncation.
     for beams in groups:
-        window_rescore(lm, beams, onto, lex, base, note, cfg)
+        window_rescore(lm, beams, ctx)
 
     # max keeps the first of equal scores: the lowest group, then slot.
     flat = [beam for beams in groups for beam in beams]

@@ -39,29 +39,34 @@ def _tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _ngram_f1(candidate: str, reference: str, n: int) -> float:
-    cand = _tokens(candidate)
-    ref = _tokens(reference)
-    if len(cand) < n or len(ref) < n:
-        return 0.0
-    cand_grams = Counter(tuple(cand[i : i + n]) for i in range(len(cand) - n + 1))
-    ref_grams = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
-    overlap = sum(min(count, ref_grams[gram]) for gram, count in cand_grams.items())
+def ngram_counts(text: str, n: int) -> Counter[tuple[str, ...]]:
+    """Counts of the token n-grams of ``text``; empty with fewer than n tokens."""
+    tokens = _tokens(text)
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _overlap(candidate: Counter, reference: Counter) -> int:
+    return sum(min(count, reference[gram]) for gram, count in candidate.items())
+
+
+def overlap_f1(candidate: Counter, reference: Counter) -> float:
+    """Clipped n-gram-overlap F1 of two counts; 0 if either is empty."""
+    overlap = _overlap(candidate, reference)
     if overlap == 0:
         return 0.0
-    precision = overlap / sum(cand_grams.values())
-    recall = overlap / sum(ref_grams.values())
+    precision = overlap / candidate.total()
+    recall = overlap / reference.total()
     return 2 * precision * recall / (precision + recall)
 
 
 def rouge2(candidate: str, reference: str) -> float:
     """Clipped bigram-overlap F1 in [0, 1]; 0 if either side has < 2 tokens."""
-    return _ngram_f1(candidate, reference, 2)
+    return overlap_f1(ngram_counts(candidate, 2), ngram_counts(reference, 2))
 
 
 def rouge1(candidate: str, reference: str) -> float:
     """Unigram-overlap F1 companion to :func:`rouge2`."""
-    return _ngram_f1(candidate, reference, 1)
+    return overlap_f1(ngram_counts(candidate, 1), ngram_counts(reference, 1))
 
 
 def _lcs_match_positions(reference: Sequence[str], candidate: Sequence[str]) -> set[int]:
@@ -243,14 +248,9 @@ class BigramOverlapEntailment:
     """
 
     def entail(self, premise: str, hypothesis: str) -> float:
-        hyp = _tokens(hypothesis)
-        prem = _tokens(premise)
-        if not hyp:
+        hyp, prem = ngram_counts(hypothesis, 2), ngram_counts(premise, 2)
+        if not (hyp and prem):
+            hyp, prem = ngram_counts(hypothesis, 1), ngram_counts(premise, 1)
+        if not (hyp and prem):
             return 0.0
-        n = 2 if len(hyp) >= 2 and len(prem) >= 2 else 1
-        if len(prem) < n:
-            return 0.0
-        hyp_grams = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
-        prem_grams = Counter(tuple(prem[i : i + n]) for i in range(len(prem) - n + 1))
-        overlap = sum(min(count, prem_grams[gram]) for gram, count in hyp_grams.items())
-        return overlap / sum(hyp_grams.values())
+        return _overlap(hyp, prem) / hyp.total()

@@ -75,6 +75,22 @@ class ConstantLm(LmContract):
         return LmStep({self.eos: 0.0})
 
 
+class NoCandidateLm(LmContract):
+    """Three-token backend that tokenizes any text but lists no next token."""
+
+    eos = 2
+    vocab_size = 3
+
+    def tokenize(self, text: str) -> list[int]:
+        return [0 for _ in text.split()]
+
+    def detokenize(self, ids: list[int]) -> str:
+        return " ".join("q" for i in ids if i != self.eos)
+
+    def next_logits(self, prefix: list[int]) -> LmStep:
+        return LmStep({})
+
+
 def dense(step: LmStep) -> dict[int, float]:
     """The full distribution ``step`` stands for: one entry per vocabulary id."""
     return {t: step.logits.get(t, step.floor) for t in range(step.vocab_size)} | step.logits

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,9 @@ import pytest
 import ontodecode
 from ontodecode import cli, metrics
 from ontodecode.cli import main
+from ontodecode.lm import LmServer
 
-from conftest import ADMISSION_NOTES
+from conftest import ADMISSION_NOTES, NoCandidateLm
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -81,6 +83,26 @@ class TestExtract:
             "--jobs", "4")
         parallel = (fixture_tree["output"] / "csr_note-1.json").read_bytes()
         assert serial == parallel
+
+    def test_backend_without_candidates_fails_the_note(self, fixture_tree, capsys):
+        # The server lists no next token, so the remote reply's token list is empty.
+        server = LmServer(NoCandidateLm())
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            code, _, err = run(capsys, "extract",
+                               str(fixture_tree["admission"] / "notes.jsonl"),
+                               "--config", str(fixture_tree["config"]),
+                               "--set", "lm.kind=remote",
+                               "--set", f"lm.endpoint={server.endpoint}")
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+        assert code == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "PartialCsrError"
+        assert error["message"] == ("extraction failed for note 'note-1': the LM returned no "
+                                    "next-token candidate for any beam of group 0")
 
 
 class TestPrune:

@@ -3,21 +3,31 @@ import random
 
 import pytest
 
+from ontodecode import decoder, metrics
 from ontodecode.decoder import (
     BeamState,
     DecodeConfig,
+    ScoringContext,
     decode,
     hierarchy_score,
     property_score,
     similarity_score,
     window_rescore,
 )
-from ontodecode.annotator import Lexicon, build_lexicon
+from ontodecode.annotator import Lexicon, annotate, build_lexicon
 from ontodecode.lm import LmContract, LmStep
 from ontodecode.metrics import rouge2
 from ontodecode.ontology import UnknownClassError
 
-from conftest import ConstantLm, dense, make_ontology, random_dag, random_ngram_lm
+from conftest import (
+    FIXTURE_CLASSES,
+    ConstantLm,
+    NoCandidateLm,
+    dense,
+    make_ontology,
+    random_dag,
+    random_ngram_lm,
+)
 
 
 def _config(**overrides) -> DecodeConfig:
@@ -112,6 +122,54 @@ class TestScores:
             assert h_after >= h_before - 1e-12
 
 
+class TestScoringContext:
+    @pytest.mark.parametrize("full_beam", [False, True])
+    @pytest.mark.parametrize("classes", ["medical", "fixture"])
+    def test_scores_equal_the_score_functions(self, medical_ontology, classes, full_beam):
+        onto = medical_ontology if classes == "medical" else make_ontology(FIXTURE_CLASSES)
+        lex = build_lexicon(onto)
+        # Labels and verbalized restrictions, so windows tag classes and
+        # share bigrams with the references.
+        phrases = sorted({onto.label(c) for c in onto.classes}
+                         | {onto.verbalize_restrictions(c) for c in onto.classes}
+                         | {"the", "was", "given"})
+        rng = random.Random(41)
+        cfg = _config(h_bf=3.0, p_bf=10.0, s_bf=10.0, similarity_full_beam=full_beam)
+        for base in [None, *sorted(onto.classes)]:
+            note = " ".join(rng.choices(phrases, k=rng.randint(0, 12)))
+            ctx = ScoringContext.build(onto, lex, base, note, cfg)
+            for _ in range(30):
+                window = " ".join(rng.choices(phrases, k=rng.randint(0, 4)))
+                full = window + " " + " ".join(rng.choices(phrases, k=rng.randint(0, 4)))
+                h, p, s = ctx.scores(window, full if full_beam else None)
+                assert s == similarity_score(full if full_beam else window, note, cfg.s_bf)
+                if base is None:
+                    assert h == p == 0.0
+                    continue
+                found = {a.class_id for a in annotate(lex, window)}
+                assert h == hierarchy_score(onto, base, found, cfg.h_bf)
+                assert p == property_score(onto, base, found, window, cfg.p_bf)
+
+    def test_decode_counts_the_note_once(self, medical_ontology, medical_lexicon,
+                                         monkeypatch):
+        note = "w0 w1 w0 aspirin fever w1 w0"
+        counted: list[str] = []
+        original = metrics.ngram_counts
+
+        def counting(text, n):
+            counted.append(text)
+            return original(text, n)
+
+        monkeypatch.setattr(metrics, "ngram_counts", counting)
+        monkeypatch.setattr(decoder, "ngram_counts", counting)
+        cfg = _config(beam_size=4, num_groups=2, diversity_penalty=0.5,
+                      window=1, max_tokens=6, h_bf=3, p_bf=10, s_bf=10)
+        decode(random_ngram_lm(random.Random(37)), "", medical_ontology, medical_lexicon,
+               "Fever", note, cfg)
+        assert counted.count(note) == 1
+        assert len(counted) > 2  # the windows went through the patched counter too
+
+
 class TestWindowRescore:
     def _beam(self, lm, text: str) -> BeamState:
         tokens = lm.tokenize(text)
@@ -121,8 +179,8 @@ class TestWindowRescore:
         lm = ConstantLm(["aspirin"], "aspirin")
         beam = self._beam(lm, "aspirin")
         cfg = _config()
-        [breakdown] = window_rescore(lm, [beam], medical_ontology, medical_lexicon,
-                                     None, "", cfg)
+        ctx = ScoringContext.build(medical_ontology, medical_lexicon, None, "", cfg)
+        [breakdown] = window_rescore(lm, [beam], ctx)
         assert breakdown.adjusted == 0.0
         assert beam.cum_logprob == -1.0
         assert beam.window_start == len(beam.tokens)
@@ -131,8 +189,8 @@ class TestWindowRescore:
         lm = ConstantLm(["aspirin", "banana"], "aspirin")
         beams = [self._beam(lm, "aspirin"), self._beam(lm, "banana")]
         cfg = _config(h_bf=2.0)
-        results = window_rescore(lm, beams, medical_ontology, medical_lexicon,
-                                 "Drug", "", cfg)
+        ctx = ScoringContext.build(medical_ontology, medical_lexicon, "Drug", "", cfg)
+        results = window_rescore(lm, beams, ctx)
         raw = [2.0, 0.0]
         expected = [r - math.log(math.exp(2.0) + 1.0) for r in raw]
         assert results[0].adjusted == pytest.approx(expected[0], abs=1e-9)
@@ -144,16 +202,18 @@ class TestWindowRescore:
     def test_equal_raws_split_evenly(self, medical_ontology, medical_lexicon):
         lm = ConstantLm(["banana", "orange"], "banana")
         beams = [self._beam(lm, "banana"), self._beam(lm, "orange")]
-        results = window_rescore(lm, beams, medical_ontology, medical_lexicon,
-                                 "Drug", "", _config(h_bf=3.0))
+        ctx = ScoringContext.build(medical_ontology, medical_lexicon, "Drug", "",
+                                   _config(h_bf=3.0))
+        results = window_rescore(lm, beams, ctx)
         assert results[0].adjusted == pytest.approx(math.log(0.5), abs=1e-12)
         assert results[1].adjusted == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_group_probabilities_sum_to_one(self, medical_ontology, medical_lexicon):
         lm = ConstantLm(["aspirin", "fever", "banana"], "aspirin")
         beams = [self._beam(lm, t) for t in ("aspirin", "fever", "banana")]
-        results = window_rescore(lm, beams, medical_ontology, medical_lexicon,
-                                 "Drug", "aspirin fever please", _config(h_bf=3, p_bf=10, s_bf=10))
+        ctx = ScoringContext.build(medical_ontology, medical_lexicon, "Drug",
+                                   "aspirin fever please", _config(h_bf=3, p_bf=10, s_bf=10))
+        results = window_rescore(lm, beams, ctx)
         assert sum(math.exp(r.adjusted) for r in results) == pytest.approx(1.0, abs=1e-9)
         assert all(r.adjusted <= 0.0 for r in results)
 
@@ -162,8 +222,8 @@ class TestWindowRescore:
         fresh = self._beam(lm, "aspirin")
         spent = self._beam(lm, "aspirin")
         spent.window_start = len(spent.tokens)
-        results = window_rescore(lm, [fresh, spent], medical_ontology, medical_lexicon,
-                                 None, "", _config())
+        ctx = ScoringContext.build(medical_ontology, medical_lexicon, None, "", _config())
+        results = window_rescore(lm, [fresh, spent], ctx)
         assert results[0] is not None
         assert results[1] is None
         assert spent.cum_logprob == -1.0
@@ -277,6 +337,12 @@ class TestDecode:
         diverse = decode(lm, "q", medical_ontology, medical_lexicon, None, "",
                          DecodeConfig(diversity_penalty=1.0, **base_cfg))
         assert not diverse.truncated and diverse.text == "b"
+
+    def test_no_next_token_candidate_is_a_value_error(self, medical_ontology,
+                                                      medical_lexicon):
+        cfg = _config(beam_size=2, num_groups=1)
+        with pytest.raises(ValueError, match="no next-token candidate"):
+            decode(NoCandidateLm(), "q", medical_ontology, medical_lexicon, None, "", cfg)
 
     def test_deterministic(self, medical_ontology, medical_lexicon):
         rng = random.Random(31)

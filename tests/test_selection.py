@@ -19,7 +19,9 @@ import pytest
 import requests
 
 from ontodecode.annotator import build_lexicon
-from ontodecode.decoder import BeamState, DecodeConfig, DecodeResult, decode, window_rescore
+from ontodecode.decoder import (
+    BeamState, DecodeConfig, DecodeResult, ScoringContext, decode, window_rescore,
+)
 from ontodecode.lm import LmContract, LmServer, LmStep, train_ngram
 from ontodecode.ontology import UnknownClassError
 
@@ -52,6 +54,7 @@ def reference_decode(lm, next_logits, prompt, onto, lex, base, note, cfg):
     if base is not None and base not in onto:
         raise UnknownClassError(f"unknown class id: {base!r}")
 
+    ctx = ScoringContext.build(onto, lex, base, note, cfg)
     prompt_ids = lm.tokenize(prompt)
     per_group = cfg.beam_size // cfg.num_groups
     groups = [
@@ -100,10 +103,10 @@ def reference_decode(lm, next_logits, prompt, onto, lex, base, note, cfg):
             window_full = active and (len(active[0].tokens) - active[0].window_start
                                       >= cfg.window)
             if window_full or not active:
-                window_rescore(lm, new_beams, onto, lex, base, note, cfg)
+                window_rescore(lm, new_beams, ctx)
 
     for beams in groups:
-        window_rescore(lm, beams, onto, lex, base, note, cfg)
+        window_rescore(lm, beams, ctx)
 
     ranked = []
     for g, beams in enumerate(groups):

@@ -1,9 +1,12 @@
 """The wire protocol: serving token probabilities over HTTP.
 
 Any backend that answers /v1/tokenize, /v1/detokenize, and /v1/logits can
-drive the decoder. Here the reference n-gram model is served in-process
-and queried through the remote client; with top_k covering the full
-vocabulary, the remote decode reproduces the local one bitwise.
+drive the decoder. Logits and detokenize requests carry a batch, and the
+decoder sends one logits request per step for all of its beams. Here the
+reference n-gram model is served in-process and queried through the
+remote client; with top_k covering the full vocabulary, each reply step
+carries the model's floor, and the remote decode reproduces the local one
+bitwise.
 """
 
 import threading
@@ -34,10 +37,20 @@ ids = remote.tokenize("the patient")
 print("tokenize('the patient') ->", ids)
 print("detokenize back         ->", repr(remote.detokenize(ids)))
 
-step = RemoteLm(server.endpoint, top_k=3).next_logits(ids)
-print("top-3 logits after 'the patient':",
-      {t: round(lp, 4) for t, lp in step.logits.items()},
-      "(truncated)" if step.truncated else "")
+print("detokenize a batch      ->",
+      remote.detokenize_batch([ids, ids[:1], []]))
+
+# One request for three prefixes; their common prefix is sent once.
+prefixes = [ids, ids + remote.tokenize("took"), ids + remote.tokenize("slept")]
+for prefix, step in zip(prefixes, RemoteLm(server.endpoint, top_k=3)
+                        .next_logits_batch(prefixes)):
+    print(f"top-3 after {remote.detokenize(prefix)!r}:",
+          {t: round(lp, 4) for t, lp in step.logits.items()},
+          "(truncated)" if step.truncated else "")
+
+step = remote.next_logits(ids)
+print("full step after 'the patient':", len(step.logits), "listed ids,",
+      f"floor {step.floor:.4f} for the other {lm.vocab_size - len(step.logits)}")
 
 onto = Ontology.from_dict({"classes": [{"id": "Aspirin", "label": "aspirin"}]})
 lexicon = build_lexicon(onto)

@@ -185,13 +185,19 @@ def window_rescore(lm: LmContract, beams: list[BeamState],
     if not participants:
         return [None] * len(beams)
 
+    # Every text the group is scored on, detokenized in one batch: the
+    # windows, then (under similarity_full_beam) the full beams.
+    eos = lm.eos
+    batch = [[t for t in b.tokens[b.window_start:] if t != eos] for b in participants]
+    if ctx.cfg.similarity_full_beam:
+        batch += [[t for t in b.tokens[b.gen_start:] if t != eos] for b in participants]
+    texts = lm.detokenize_batch(batch)
+    n = len(participants)
+    full_texts: list[str | None] = texts[n:] or [None] * n
+
     raws: list[float] = []
     partial: list[tuple[float, float, float]] = []
-    for beam in participants:
-        window_text = lm.detokenize([t for t in beam.tokens[beam.window_start:] if t != lm.eos])
-        full_text = None
-        if ctx.cfg.similarity_full_beam:
-            full_text = lm.detokenize([t for t in beam.tokens[beam.gen_start:] if t != lm.eos])
+    for window_text, full_text in zip(texts, full_texts):
         h, p, s = ctx.scores(window_text, full_text)
         partial.append((h, p, s))
         raws.append(h + p + s)
@@ -260,8 +266,14 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
     ]
 
     for _ in range(cfg.max_tokens):
-        if all(b.finished for beams in groups for b in beams):
+        live = [b for beams in groups for b in beams if not b.finished]
+        if not live:
             break
+        # No group changes another's prefixes within a step, so one batch,
+        # in group then slot order, serves every group's expansion.
+        steps = iter(lm.next_logits_batch([b.tokens for b in live]))
+        # Read after the batch, whose reply gives a remote backend its eos.
+        eos = lm.eos
         chosen_counts: Counter[TokenId] = Counter()
         for g, beams in enumerate(groups):
             if all(b.finished for b in beams):
@@ -269,7 +281,7 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
             # Finished beams hold their slot and compete by score.
             candidates = itertools.chain.from_iterable(
                 [(beam.cum_logprob, idx, -1, beam)] if beam.finished
-                else _expansions(lm.next_logits(beam.tokens), beam, idx,
+                else _expansions(next(steps), beam, idx,
                                  chosen_counts, cfg.diversity_penalty, per_group)
                 for idx, beam in enumerate(beams)
             )
@@ -284,7 +296,7 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
                     tokens=parent.tokens + [token],
                     cum_logprob=score,
                     window_start=parent.window_start,
-                    finished=(token == lm.eos),
+                    finished=(token == eos),
                     gen_start=parent.gen_start,
                 ))
                 group_chosen.append(token)
@@ -308,7 +320,7 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
     flat = [beam for beams in groups for beam in beams]
     best = max([b for b in flat if b.finished] or flat, key=lambda b: b.cum_logprob)
 
-    generated = [t for t in best.tokens[len(prompt_ids):] if t != lm.eos]
+    generated = [t for t in best.tokens[len(prompt_ids):] if t != eos]
     return DecodeResult(
         text=lm.detokenize(generated),
         truncated=not best.finished,

@@ -1,9 +1,10 @@
 """Language-model contract, reference n-gram backend, and remote client.
 
 The decoder only ever needs token log-probabilities for a prefix, so the
-contract is exactly that: tokenize/detokenize plus ``next_logits``. The
-add-one-smoothed n-gram model is the deterministic reference backend used
-throughout the tests; real models sit behind the HTTP wire protocol
+contract is exactly that: tokenize/detokenize plus ``next_logits``, and
+batch forms of the last two that a backend may answer in one round trip.
+The add-one-smoothed n-gram model is the deterministic reference backend
+used throughout the tests; real models sit behind the HTTP wire protocol
 (``/v1/tokenize``, ``/v1/detokenize``, ``/v1/logits``) and may return
 top-k-truncated distributions. All log-probabilities are natural log.
 """
@@ -16,6 +17,7 @@ import itertools
 import json
 import logging
 import math
+import os
 import threading
 import time
 from collections import Counter, defaultdict
@@ -91,6 +93,14 @@ class LmContract(abc.ABC):
 
     @abc.abstractmethod
     def next_logits(self, prefix: list[TokenId]) -> LmStep: ...
+
+    def next_logits_batch(self, prefixes: list[list[TokenId]]) -> list[LmStep]:
+        """``next_logits`` of each prefix, in order."""
+        return [self.next_logits(prefix) for prefix in prefixes]
+
+    def detokenize_batch(self, batch: list[list[TokenId]]) -> list[str]:
+        """``detokenize`` of each id list, in order."""
+        return [self.detokenize(ids) for ids in batch]
 
 
 class NgramLm(LmContract):
@@ -181,6 +191,12 @@ def train_ngram(corpus: list[str], n: int) -> NgramLm:
 _TRANSIENT = (requests.exceptions.ConnectionError, requests.exceptions.Timeout)
 
 
+def _finite_number(value: object) -> bool:
+    """A JSON number other than NaN and the infinities; ``true`` is no number."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 class RemoteLm(LmContract):
     """Client for a backend speaking the HTTP wire protocol.
 
@@ -189,6 +205,11 @@ class RemoteLm(LmContract):
     request with an empty prefix. A later response that reports different
     values raises ``LmProtocolError``. Each thread posts through its own
     ``requests.Session``, and every retried attempt is logged at WARNING.
+
+    A batch is one request; the single-item methods are batches of one.
+    A step the backend sends with a ``floor`` (only allowed when ``top_k``
+    covers the vocabulary) stands for the whole distribution; a step
+    without one lists every id that is possible.
     """
 
     def __init__(self, endpoint: str, top_k: int = 50, *, timeout: float = 30.0,
@@ -242,24 +263,65 @@ class RemoteLm(LmContract):
         return [int(i) for i in data["ids"]]
 
     def detokenize(self, ids: list[TokenId]) -> str:
-        data = self._post("/v1/detokenize", {"ids": list(ids)})
-        if "text" not in data or not isinstance(data["text"], str):
-            raise LmProtocolError("detokenize response missing 'text' string")
-        return data["text"]
+        return self.detokenize_batch([ids])[0]
+
+    def detokenize_batch(self, batch: list[list[TokenId]]) -> list[str]:
+        if not batch:
+            return []
+        data = self._post("/v1/detokenize", {"batch": [list(ids) for ids in batch]})
+        texts = data.get("texts")
+        if not isinstance(texts, list):
+            raise LmProtocolError("detokenize response missing 'texts' list")
+        if len(texts) != len(batch):
+            raise LmProtocolError(
+                f"detokenize response has {len(texts)} texts for {len(batch)} id lists")
+        if not all(isinstance(text, str) for text in texts):
+            raise LmProtocolError("detokenize response holds a text that is not a string")
+        return texts
 
     def next_logits(self, prefix: list[TokenId]) -> LmStep:
-        """The top-k truncated next-token distribution the backend reports."""
-        data = self._post("/v1/logits", {"prefix": list(prefix), "top_k": self.top_k})
-        for key in ("tokens", "eos_id", "vocab_size"):
+        """The next-token distribution the backend reports, top-k truncated or floored."""
+        return self.next_logits_batch([prefix])[0]
+
+    def next_logits_batch(self, prefixes: list[list[TokenId]]) -> list[LmStep]:
+        """One ``/v1/logits`` request; the batch's common prefix is sent once."""
+        if not prefixes:
+            return []
+        prefixes = [list(prefix) for prefix in prefixes]
+        shared = os.path.commonprefix(prefixes)
+        data = self._post("/v1/logits", {
+            "prefix": shared,
+            "suffixes": [prefix[len(shared):] for prefix in prefixes],
+            "top_k": self.top_k,
+        })
+        for key in ("steps", "eos_id", "vocab_size"):
             if key not in data:
                 raise LmProtocolError(f"logits response missing field {key!r}")
+        steps = data["steps"]
+        if not isinstance(steps, list) or len(steps) != len(prefixes):
+            got = len(steps) if isinstance(steps, list) else type(steps).__name__
+            raise LmProtocolError(
+                f"logits response has {got} steps for {len(prefixes)} prefixes")
         vocab_size = int(data["vocab_size"])
+        parsed = [self._parse_step(step, vocab_size) for step in steps]
+        meta = (int(data["eos_id"]), vocab_size)
+        if self._meta is None:
+            self._meta = meta
+        elif meta != self._meta:
+            raise LmProtocolError(
+                f"backend changed (eos_id, vocab_size) from {self._meta} to {meta}"
+            )
+        return parsed
+
+    def _parse_step(self, step: object, vocab_size: int) -> LmStep:
+        if not isinstance(step, dict) or "tokens" not in step or "floor" not in step:
+            raise LmProtocolError(f"malformed logits step: {step!r}")
         logits: dict[TokenId, float] = {}
-        for entry in data["tokens"]:
+        for entry in step["tokens"]:
             if not isinstance(entry, dict) or "id" not in entry or "logprob" not in entry:
                 raise LmProtocolError(f"malformed token entry: {entry!r}")
             logprob = entry["logprob"]
-            if not isinstance(logprob, (int, float)) or not math.isfinite(logprob):
+            if not _finite_number(logprob):
                 raise LmProtocolError(f"non-finite logprob for token {entry['id']!r}")
             tid = int(entry["id"])
             if not 0 <= tid < vocab_size:
@@ -271,14 +333,15 @@ class RemoteLm(LmContract):
             raise LmProtocolError(
                 f"server returned {len(logits)} tokens for top_k={self.top_k}"
             )
-        meta = (int(data["eos_id"]), vocab_size)
-        if self._meta is None:
-            self._meta = meta
-        elif meta != self._meta:
+        floor = step["floor"]
+        if floor is None:
+            return LmStep(logits)
+        if not _finite_number(floor):
+            raise LmProtocolError(f"floor must be a finite number or null, got {floor!r}")
+        if self.top_k < vocab_size:
             raise LmProtocolError(
-                f"backend changed (eos_id, vocab_size) from {self._meta} to {meta}"
-            )
-        return LmStep(logits=logits)
+                f"floor sent for top_k={self.top_k} below vocab_size {vocab_size}")
+        return LmStep(logits, float(floor), vocab_size)
 
     def _probe(self) -> tuple[TokenId, int]:
         if self._meta is None:
@@ -344,6 +407,29 @@ def _top_k(step: LmStep, k: int) -> list[tuple[TokenId, float]]:
     return list(itertools.islice(ranked, k))
 
 
+def _wire_step(step: LmStep, top_k: int, vocab_size: int) -> dict:
+    """One reply step: the ``LmStep`` itself when ``top_k`` covers the
+    vocabulary and its floor is finite, else its top k with no floor."""
+    if top_k >= vocab_size and not step.truncated:
+        entries, floor = step.logits.items(), step.floor
+    else:
+        entries, floor = _top_k(step, top_k), None
+    return {"tokens": [{"id": tid, "logprob": logprob} for tid, logprob in entries],
+            "floor": floor}
+
+
+def _id_list(value: object, what: str) -> list[TokenId]:
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list of token ids")
+    return [int(i) for i in value]
+
+
+def _id_lists(value: object, what: str) -> list[list[TokenId]]:
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list of token-id lists")
+    return [_id_list(item, f"each item of {what}") for item in value]
+
+
 def _make_handler(lm: LmContract):
     class Handler(BaseHTTPRequestHandler):
         def log_message(self, fmt, *args):  # noqa: N802 - stdlib signature
@@ -368,21 +454,21 @@ def _make_handler(lm: LmContract):
                 if self.path == "/v1/tokenize":
                     self._reply(200, {"ids": lm.tokenize(str(payload["text"]))})
                 elif self.path == "/v1/detokenize":
-                    ids = [int(i) for i in payload["ids"]]
-                    self._reply(200, {"text": lm.detokenize(ids)})
+                    batch = _id_lists(payload["batch"], "batch")
+                    self._reply(200, {"texts": lm.detokenize_batch(batch)})
                 elif self.path == "/v1/logits":
-                    prefix = [int(i) for i in payload["prefix"]]
+                    shared = _id_list(payload["prefix"], "prefix")
+                    prefixes = [shared + suffix
+                                for suffix in _id_lists(payload["suffixes"], "suffixes")]
                     top_k = int(payload.get("top_k", 50))
                     if top_k < 1:
                         raise ValueError(f"top_k must be >= 1, got {top_k}")
-                    tokens = [
-                        {"id": tid, "logprob": logprob}
-                        for tid, logprob in _top_k(lm.next_logits(prefix), top_k)
-                    ]
+                    vocab_size = lm.vocab_size
                     self._reply(200, {
-                        "tokens": tokens,
+                        "steps": [_wire_step(step, top_k, vocab_size)
+                                  for step in lm.next_logits_batch(prefixes)],
                         "eos_id": lm.eos,
-                        "vocab_size": lm.vocab_size,
+                        "vocab_size": vocab_size,
                     })
                 else:
                     self._reply(404, {"error": f"unknown path {self.path!r}"})

@@ -11,7 +11,7 @@ import pytest
 import ontodecode
 from ontodecode import cli, metrics
 from ontodecode.cli import main
-from ontodecode.lm import LmServer
+from ontodecode.lm import LmServer, train_ngram
 
 from conftest import ADMISSION_NOTES, NoCandidateLm
 
@@ -172,6 +172,37 @@ class TestSummarize:
         assert code == 2
         message = json.loads(err)["error"]["message"]
         assert "cardio" in message and "neuro" in message
+
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    def test_remote_backend_writes_the_in_process_bytes(self, fixture_tree, capsys, jobs):
+        config = str(fixture_tree["config"])
+        admission = str(fixture_tree["admission"])
+        outputs = [fixture_tree["output"] / name
+                   for name in ("structured_summary.json", "summary.txt")]
+        code, _, err = run(capsys, "summarize", admission, "--config", config,
+                           "--domain", "cardio")
+        assert code == 0, err
+        in_process = [path.read_bytes() for path in outputs]
+        for path in outputs:
+            path.unlink()
+
+        lines = fixture_tree["lm_corpus"].read_text(encoding="utf-8").splitlines()
+        lm = train_ngram([line for line in lines if line.strip()], 2)
+        server = LmServer(lm)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            code, _, err = run(capsys, "summarize", admission, "--config", config,
+                               "--domain", "cardio", "--jobs", jobs,
+                               "--set", "lm.kind=remote",
+                               "--set", f"lm.endpoint={server.endpoint}",
+                               "--set", f"lm.top_k={lm.vocab_size}")
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert code == 0, err
+        assert [path.read_bytes() for path in outputs] == in_process
 
     def test_missing_notes_jsonl(self, fixture_tree, capsys, tmp_path):
         code, _, err = run(capsys, "summarize", str(tmp_path),

@@ -217,6 +217,36 @@ class TestWindowRescore:
         assert sum(math.exp(r.adjusted) for r in results) == pytest.approx(1.0, abs=1e-9)
         assert all(r.adjusted <= 0.0 for r in results)
 
+    @pytest.mark.parametrize("full_beam", [False, True])
+    def test_one_detokenize_batch_per_group(self, medical_ontology, medical_lexicon,
+                                            full_beam):
+        lm = ConstantLm(["aspirin", "fever", "banana", "was", "given"], "aspirin")
+        beams = [self._beam(lm, "fever was given aspirin"),
+                 self._beam(lm, "banana fever aspirin given")]
+        beams[0].window_start = 3
+        beams[1].window_start = 1
+        beams[1].tokens.append(lm.eos)
+        ctx = ScoringContext.build(medical_ontology, medical_lexicon, "Drug",
+                                   "fever given aspirin",
+                                   _config(h_bf=3, p_bf=10, s_bf=10,
+                                           similarity_full_beam=full_beam))
+        windows = ["aspirin", "fever aspirin given"]
+        fulls = ["fever was given aspirin", "banana fever aspirin given"]
+        batches = []
+        original = lm.detokenize_batch
+
+        def spy(batch):
+            batches.append(batch)
+            return original(batch)
+
+        lm.detokenize_batch = spy
+        results = window_rescore(lm, beams, ctx)
+        assert [original(batch) for batch in batches] == [windows + fulls if full_beam
+                                                          else windows]
+        for result, window, full in zip(results, windows, fulls):
+            want = ctx.scores(window, full if full_beam else None)
+            assert (result.hierarchy, result.property, result.similarity) == want
+
     def test_already_rescored_beams_skipped(self, medical_ontology, medical_lexicon):
         lm = ConstantLm(["aspirin"], "aspirin")
         fresh = self._beam(lm, "aspirin")
@@ -288,6 +318,26 @@ class TestDecode:
                 if token == lm.eos:
                     break
             assert got.text == lm.detokenize([t for t in seq if t != lm.eos])
+
+    def test_one_logits_batch_per_step(self, medical_ontology, medical_lexicon):
+        lm = random_ngram_lm(random.Random(43))
+        batches: list[list[list[int]]] = []
+        original = lm.next_logits_batch
+
+        def spy(prefixes):
+            batches.append([list(p) for p in prefixes])
+            return original(prefixes)
+
+        lm.next_logits_batch = spy
+        cfg = _config(beam_size=4, num_groups=2, diversity_penalty=0.5, window=2,
+                      max_tokens=6)
+        decode(lm, "", medical_ontology, medical_lexicon, None, "", cfg)
+        assert batches[0] == [[], []]  # one beam per group at the start
+        assert len(batches) <= cfg.max_tokens
+        for step, prefixes in enumerate(batches):
+            # Every prefix is the one the step started from.
+            assert [len(p) for p in prefixes] == [step] * len(prefixes)
+            assert 1 <= len(prefixes) <= cfg.beam_size
 
     def test_matches_vanilla_beam_search(self):
         rng = random.Random(29)

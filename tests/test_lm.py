@@ -180,8 +180,8 @@ class TestWireProtocol:
         lm, server = served_ngram
         prefix = lm.tokenize("the")
         full = RemoteLm(server.endpoint, top_k=lm.vocab_size).next_logits(prefix)
-        assert full.truncated
-        assert full.logits == dense(lm.next_logits(prefix))
+        assert not full.truncated
+        assert dense(full) == dense(lm.next_logits(prefix))
 
         top2 = RemoteLm(server.endpoint, top_k=2).next_logits(prefix)
         assert len(top2.logits) == 2
@@ -189,6 +189,58 @@ class TestWireProtocol:
         # Only tokens from the true distribution, never fabricated ones.
         for token, logprob in top2.logits.items():
             assert local[token] == logprob
+
+    def test_batch_sends_the_common_prefix_once(self, served_ngram, monkeypatch):
+        lm, server = served_ngram
+        remote = RemoteLm(server.endpoint, top_k=lm.vocab_size)
+        original = requests.Session.post
+        sent = []
+
+        def post(session, url, json=None, **kwargs):
+            sent.append(json)
+            return original(session, url, json=json, **kwargs)
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        the, dog, cat = lm.tokenize("the dog cat")
+        prefixes = [[the, dog], [the, cat], [the]]
+        steps = remote.next_logits_batch(prefixes)
+        assert sent == [{"prefix": [the], "suffixes": [[dog], [cat], []],
+                         "top_k": lm.vocab_size}]
+        assert [dense(step) for step in steps] == [dense(lm.next_logits(p)) for p in prefixes]
+
+        texts = remote.detokenize_batch(prefixes + [[]])
+        assert sent[1] == {"batch": prefixes + [[]]}
+        assert texts == ["the dog", "the cat", "the", ""]
+
+    def test_empty_batches_send_no_request(self, served_ngram, monkeypatch):
+        _, server = served_ngram
+        remote = RemoteLm(server.endpoint, top_k=2)
+
+        def post(*args, **kwargs):
+            raise AssertionError("an empty batch sent a request")
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        assert remote.next_logits_batch([]) == []
+        assert remote.detokenize_batch([]) == []
+
+    @pytest.mark.parametrize("path, payload", [
+        ("/v1/logits", {"prefix": [], "top_k": 2}),
+        ("/v1/logits", {"prefix": [], "suffixes": [0], "top_k": 2}),
+        ("/v1/logits", {"prefix": [], "suffixes": [[0], "01"], "top_k": 2}),
+        ("/v1/logits", {"prefix": [], "suffixes": "01", "top_k": 2}),
+        ("/v1/logits", {"prefix": 0, "suffixes": [[]], "top_k": 2}),
+        ("/v1/detokenize", {"batch": [0]}),
+        ("/v1/detokenize", {"ids": [0]}),
+    ])
+    def test_malformed_batch_gets_400_and_server_keeps_serving(self, served_ngram,
+                                                                path, payload):
+        lm, server = served_ngram
+        reply = requests.post(server.endpoint + path, json=payload, timeout=10)
+        assert reply.status_code == 400
+        assert reply.json()["error"]
+        remote = RemoteLm(server.endpoint, top_k=2)
+        assert len(remote.next_logits(lm.tokenize("the")).logits) == 2
+        assert remote.detokenize(lm.tokenize("the dog")) == "the dog"
 
     def test_eos_and_vocab_size_probe(self, served_ngram):
         lm, server = served_ngram
@@ -257,37 +309,60 @@ def _canned_server(body: str, status: int = 200, fail_times: int = 0):
             self.wfile.write(payload)
 
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    # A short poll interval, so that shutdown() returns at once.
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     return httpd, state
 
 
+def _next_logits(remote: RemoteLm):
+    return remote.next_logits([1])
+
+
 class TestRemoteValidation:
-    def run_against(self, body: str, status: int = 200, fail_times: int = 0, top_k: int = 5):
+    def run_against(self, body: str, status: int = 200, fail_times: int = 0, top_k: int = 5,
+                    call=_next_logits):
         httpd, state = _canned_server(body, status, fail_times)
         endpoint = f"http://127.0.0.1:{httpd.server_address[1]}"
         try:
             remote = RemoteLm(endpoint, top_k=top_k, timeout=1, retries=3, backoff=0.01)
-            return remote.next_logits([1]), state
+            return call(remote), state
         finally:
             httpd.shutdown()
             httpd.server_close()
 
     def test_passthrough(self):
-        body = json.dumps({"tokens": [{"id": 4, "logprob": -0.1}],
+        body = json.dumps({"steps": [{"tokens": [{"id": 4, "logprob": -0.1}], "floor": None}],
                            "eos_id": 9, "vocab_size": 10})
         step, _ = self.run_against(body)
         assert step.logits == {4: -0.1}
         assert step.truncated
 
+    def test_floor_with_top_k_covering_the_vocabulary(self):
+        step, _ = self.run_against(_logits_body([4], floor=-2.5), top_k=10)
+        assert step == LmStep({4: -1.0}, -2.5, 10)
+        assert not step.truncated
+
     def test_nan_logprob_rejected(self):
-        body = '{"tokens": [{"id": 4, "logprob": NaN}], "eos_id": 9, "vocab_size": 10}'
+        body = ('{"steps": [{"tokens": [{"id": 4, "logprob": NaN}], "floor": null}], '
+                '"eos_id": 9, "vocab_size": 10}')
         with pytest.raises(LmProtocolError, match="non-finite"):
             self.run_against(body)
 
     def test_missing_field_rejected(self):
-        body = json.dumps({"tokens": []})
+        body = json.dumps({"steps": []})
         with pytest.raises(LmProtocolError, match="missing field"):
+            self.run_against(body)
+
+    @pytest.mark.parametrize("step", [
+        {"tokens": []},
+        {"floor": None},
+        [],
+    ])
+    def test_malformed_step_rejected(self, step):
+        body = json.dumps({"steps": [step], "eos_id": 9, "vocab_size": 10})
+        with pytest.raises(LmProtocolError, match="malformed logits step"):
             self.run_against(body)
 
     def test_non_json_rejected(self):
@@ -295,7 +370,7 @@ class TestRemoteValidation:
             self.run_against("<html>oops</html>")
 
     def test_retry_then_succeed(self):
-        body = json.dumps({"tokens": [{"id": 0, "logprob": -1.0}],
+        body = json.dumps({"steps": [{"tokens": [{"id": 0, "logprob": -1.0}], "floor": None}],
                            "eos_id": 1, "vocab_size": 2})
         step, state = self.run_against(body, fail_times=2)
         assert state["hits"] == 3
@@ -330,10 +405,56 @@ class TestRemoteValidation:
         with pytest.raises(LmProtocolError, match="outside"):
             self.run_against(_logits_body([0, tid]))
 
+    @pytest.mark.parametrize("n_steps, prefixes", [
+        (2, [[1]]),
+        (0, [[1]]),
+        (1, [[1], [2]]),
+        (3, [[1], [2]]),
+    ])
+    def test_step_count_other_than_the_suffix_count_rejected(self, n_steps, prefixes):
+        with pytest.raises(LmProtocolError, match=f"{n_steps} steps for {len(prefixes)}"):
+            self.run_against(_logits_body([0], steps=n_steps),
+                             call=lambda remote: remote.next_logits_batch(prefixes))
 
-def _logits_body(ids: list[int], eos_id: int = 9, vocab_size: int = 10) -> str:
-    return json.dumps({"tokens": [{"id": i, "logprob": -1.0} for i in ids],
-                       "eos_id": eos_id, "vocab_size": vocab_size})
+    def test_steps_not_a_list_rejected(self):
+        body = json.dumps({"steps": {"tokens": []}, "eos_id": 9, "vocab_size": 10})
+        with pytest.raises(LmProtocolError, match="dict steps for 1 prefixes"):
+            self.run_against(body)
+
+    @pytest.mark.parametrize("floor", ['"-1.0"', "true", "[]", "NaN", "Infinity", "-Infinity"])
+    def test_floor_not_a_finite_number_rejected(self, floor):
+        body = ('{"steps": [{"tokens": [], "floor": %s}], "eos_id": 9, "vocab_size": 10}'
+                % floor)
+        with pytest.raises(LmProtocolError, match="floor must be a finite number"):
+            self.run_against(body, top_k=10)
+
+    def test_floor_below_full_vocabulary_top_k_rejected(self):
+        with pytest.raises(LmProtocolError, match="floor sent for top_k=9"):
+            self.run_against(_logits_body([0], floor=-2.0), top_k=9)
+
+    def test_detokenize_passthrough(self):
+        texts, _ = self.run_against(json.dumps({"texts": ["a b", ""]}),
+                                    call=lambda remote: remote.detokenize_batch([[0, 1], []]))
+        assert texts == ["a b", ""]
+
+    @pytest.mark.parametrize("body, match", [
+        ({"texts": ["a"]}, "1 texts for 2 id lists"),
+        ({"texts": ["a", "b", "c"]}, "3 texts for 2 id lists"),
+        ({"texts": ["a", 1]}, "not a string"),
+        ({"texts": ["a", None]}, "not a string"),
+        ({"texts": "a b"}, "missing 'texts' list"),
+        ({"text": "a b"}, "missing 'texts' list"),
+    ])
+    def test_bad_detokenize_reply_rejected(self, body, match):
+        with pytest.raises(LmProtocolError, match=match):
+            self.run_against(json.dumps(body),
+                             call=lambda remote: remote.detokenize_batch([[0], [1]]))
+
+
+def _logits_body(ids: list[int], eos_id: int = 9, vocab_size: int = 10,
+                 floor: float | None = None, steps: int = 1) -> str:
+    step = {"tokens": [{"id": i, "logprob": -1.0} for i in ids], "floor": floor}
+    return json.dumps({"steps": [step] * steps, "eos_id": eos_id, "vocab_size": vocab_size})
 
 
 def _scripted_server(bodies: list[str]):
@@ -354,7 +475,9 @@ def _scripted_server(bodies: list[str]):
             self.wfile.write(payload)
 
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    # A short poll interval, so that shutdown() returns at once.
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     return httpd
 

@@ -5,12 +5,12 @@ distribution and the decoder's group loop as they were before beam
 expansion became sparse: every token of the vocabulary gets an explicit
 log-prob, and every (beam, token) pair of a group is scored and sorted.
 The library must return the same text, tokens, score and truncation flag,
-and the served ``/v1/logits`` body must be byte-identical to the dense
-ranking.
+and a served ``/v1/logits`` batch must list the dense ranking's top k,
+or the dense distribution itself when k covers the vocabulary.
 """
 
-import json
 import math
+import os
 import random
 import threading
 from collections import Counter
@@ -22,7 +22,7 @@ from ontodecode.annotator import build_lexicon
 from ontodecode.decoder import (
     BeamState, DecodeConfig, DecodeResult, ScoringContext, decode, window_rescore,
 )
-from ontodecode.lm import LmContract, LmServer, LmStep, train_ngram
+from ontodecode.lm import LmContract, LmServer, LmStep, RemoteLm, train_ngram
 from ontodecode.ontology import UnknownClassError
 
 from conftest import dense, make_ontology
@@ -218,28 +218,53 @@ def test_ngram_view_equals_dense_distribution():
         assert logits == want
 
 
-def test_served_logits_body_matches_dense_ranking():
+def test_served_logits_body_matches_dense_ranking(monkeypatch):
     rng = random.Random(11)
     words = [f"w{i}" for i in range(15)]
     lm = train_ngram([" ".join(rng.choice(words) for _ in range(12)) for _ in range(3)], 2)
     server = LmServer(lm)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    original = requests.Session.post
+    sent = []
+
+    def post(session, url, json=None, **kwargs):
+        sent.append(json)
+        return original(session, url, json=json, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "post", post)
     try:
         V = lm.vocab_size
         for top_k in sorted({1, 2, V - 1, V, V + 5}):
-            for _ in range(5):
-                prefix = [rng.randrange(V - 1) for _ in range(rng.randint(0, 3))]
-                reply = requests.post(server.endpoint + "/v1/logits",
-                                      json={"prefix": prefix, "top_k": top_k}, timeout=10)
-                want_logits = dense_next_logits(lm, prefix)
-                ranked = sorted(want_logits.items(), key=lambda kv: (-kv[1], kv[0]))
-                want = json.dumps({
-                    "tokens": [{"id": tid, "logprob": lp} for tid, lp in ranked[:top_k]],
-                    "eos_id": lm.eos,
-                    "vocab_size": lm.vocab_size,
-                }).encode("utf-8")
-                assert reply.content == want
+            remote = RemoteLm(server.endpoint, top_k=top_k)
+            shared = [rng.randrange(V - 1) for _ in range(rng.randint(1, 3))]
+            batches = [
+                # One shared start, then suffixes of different lengths.
+                [shared + [rng.randrange(V - 1) for _ in range(n)] for n in range(4)],
+                # Nothing shared: distinct first tokens, and the empty prefix.
+                [[t] + [rng.randrange(V - 1) for _ in range(rng.randint(0, 2))]
+                 for t in rng.sample(range(V - 1), 4)] + [[]],
+            ]
+            for prefixes in batches:
+                sent.clear()
+                steps = remote.next_logits_batch(prefixes)
+                assert len(sent) == 1
+                assert sent[0]["prefix"] == os.path.commonprefix(prefixes)
+                assert len(steps) == len(prefixes)
+                for prefix, step in zip(prefixes, steps):
+                    want = dense_next_logits(lm, prefix)
+                    if top_k < V:
+                        ranked = sorted(want.items(), key=lambda kv: (-kv[1], kv[0]))
+                        assert list(step.logits.items()) == ranked[:top_k]
+                        assert step.truncated
+                    else:
+                        assert not step.truncated
+                        got = dense(step)
+                        assert list(got) == list(want)
+                        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+            sent.clear()
+            assert remote.next_logits_batch([]) == []
+            assert sent == []
     finally:
         server.shutdown()
         thread.join(timeout=5)

@@ -2,7 +2,8 @@
 
 Any backend that answers /v1/tokenize, /v1/detokenize, and /v1/logits can
 drive the decoder. Logits and detokenize requests carry a batch, and the
-decoder sends one logits request per step for all of its beams. Here the
+decoder sends one logits request per step: the prompt once as the prefix,
+and one suffix per beam holding the tokens it has generated. Here the
 reference n-gram model is served in-process and queried through the
 remote client; with top_k covering the full vocabulary, each reply step
 carries the model's floor, and the remote decode reproduces the local one
@@ -40,11 +41,12 @@ print("detokenize back         ->", repr(remote.detokenize(ids)))
 print("detokenize a batch      ->",
       remote.detokenize_batch([ids, ids[:1], []]))
 
-# One request for three prefixes; their common prefix is sent once.
-prefixes = [ids, ids + remote.tokenize("took"), ids + remote.tokenize("slept")]
-for prefix, step in zip(prefixes, RemoteLm(server.endpoint, top_k=3)
-                        .next_logits_batch(prefixes)):
-    print(f"top-3 after {remote.detokenize(prefix)!r}:",
+# One request for three continuations of "the patient": the prefix is sent
+# once, then one suffix each.
+suffixes = [[], remote.tokenize("took"), remote.tokenize("slept")]
+for suffix, step in zip(suffixes, RemoteLm(server.endpoint, top_k=3)
+                        .next_logits_batch(ids, suffixes)):
+    print(f"top-3 after {remote.detokenize(ids + suffix)!r}:",
           {t: round(lp, 4) for t, lp in step.logits.items()},
           "(truncated)" if step.truncated else "")
 

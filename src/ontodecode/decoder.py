@@ -69,11 +69,10 @@ class DecodeConfig:
 
 @dataclass
 class BeamState:
-    tokens: list[TokenId]
+    tokens: list[TokenId]  # generated only: decode sends the prompt once per step
     cum_logprob: float
-    window_start: int
+    window_start: int = 0
     finished: bool = False
-    gen_start: int = 0  # index where generated tokens begin (end of prompt)
 
 
 @dataclass
@@ -190,7 +189,7 @@ def window_rescore(lm: LmContract, beams: list[BeamState],
     eos = lm.eos
     batch = [[t for t in b.tokens[b.window_start:] if t != eos] for b in participants]
     if ctx.cfg.similarity_full_beam:
-        batch += [[t for t in b.tokens[b.gen_start:] if t != eos] for b in participants]
+        batch += [[t for t in b.tokens if t != eos] for b in participants]
     texts = lm.detokenize_batch(batch)
     n = len(participants)
     full_texts: list[str | None] = texts[n:] or [None] * n
@@ -259,19 +258,16 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
     ctx = ScoringContext.build(onto, lex, base, note, cfg)
     prompt_ids = lm.tokenize(prompt)
     per_group = cfg.beam_size // cfg.num_groups
-    groups: list[list[BeamState]] = [
-        [BeamState(tokens=list(prompt_ids), cum_logprob=0.0,
-                   window_start=len(prompt_ids), gen_start=len(prompt_ids))]
-        for _ in range(cfg.num_groups)
-    ]
+    groups = [[BeamState([], 0.0)] for _ in range(cfg.num_groups)]
 
     for _ in range(cfg.max_tokens):
         live = [b for beams in groups for b in beams if not b.finished]
         if not live:
             break
         # No group changes another's prefixes within a step, so one batch,
-        # in group then slot order, serves every group's expansion.
-        steps = iter(lm.next_logits_batch([b.tokens for b in live]))
+        # the prompt once and each beam's tokens in group then slot order,
+        # serves every group's expansion.
+        steps = iter(lm.next_logits_batch(prompt_ids, [b.tokens for b in live]))
         # Read after the batch, whose reply gives a remote backend its eos.
         eos = lm.eos
         chosen_counts: Counter[TokenId] = Counter()
@@ -297,7 +293,6 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
                     cum_logprob=score,
                     window_start=parent.window_start,
                     finished=(token == eos),
-                    gen_start=parent.gen_start,
                 ))
                 group_chosen.append(token)
             if not new_beams:
@@ -320,7 +315,7 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
     flat = [beam for beams in groups for beam in beams]
     best = max([b for b in flat if b.finished] or flat, key=lambda b: b.cum_logprob)
 
-    generated = [t for t in best.tokens[len(prompt_ids):] if t != eos]
+    generated = [t for t in best.tokens if t != eos]
     return DecodeResult(
         text=lm.detokenize(generated),
         truncated=not best.finished,

@@ -17,7 +17,6 @@ import itertools
 import json
 import logging
 import math
-import os
 import threading
 import time
 from collections import Counter, defaultdict
@@ -94,9 +93,10 @@ class LmContract(abc.ABC):
     @abc.abstractmethod
     def next_logits(self, prefix: list[TokenId]) -> LmStep: ...
 
-    def next_logits_batch(self, prefixes: list[list[TokenId]]) -> list[LmStep]:
-        """``next_logits`` of each prefix, in order."""
-        return [self.next_logits(prefix) for prefix in prefixes]
+    def next_logits_batch(self, prefix: list[TokenId],
+                          suffixes: list[list[TokenId]]) -> list[LmStep]:
+        """``next_logits`` of ``prefix + suffix`` for each suffix, in order."""
+        return [self.next_logits(prefix + suffix) for suffix in suffixes]
 
     def detokenize_batch(self, batch: list[list[TokenId]]) -> list[str]:
         """``detokenize`` of each id list, in order."""
@@ -191,6 +191,11 @@ def train_ngram(corpus: list[str], n: int) -> NgramLm:
 _TRANSIENT = (requests.exceptions.ConnectionError, requests.exceptions.Timeout)
 
 
+def _integer(value: object) -> bool:
+    """A JSON integer: neither ``true`` nor ``1.7``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _finite_number(value: object) -> bool:
     """A JSON number other than NaN and the infinities; ``true`` is no number."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -238,9 +243,12 @@ class RemoteLm(LmContract):
                 status = response.status_code
                 if status == 200:
                     try:
-                        return response.json()
+                        data = response.json()
                     except ValueError as exc:
                         raise LmProtocolError(f"{url}: response is not JSON") from exc
+                    if not isinstance(data, dict):
+                        raise LmProtocolError(f"{url}: response is not a JSON object")
+                    return data
                 if status < 500:
                     raise LmProtocolError(
                         f"{url}: unexpected status {status}: {response.text[:200]}"
@@ -258,9 +266,12 @@ class RemoteLm(LmContract):
 
     def tokenize(self, text: str) -> list[TokenId]:
         data = self._post("/v1/tokenize", {"text": text})
-        if "ids" not in data or not isinstance(data["ids"], list):
+        ids = data.get("ids")
+        if not isinstance(ids, list):
             raise LmProtocolError("tokenize response missing 'ids' list")
-        return [int(i) for i in data["ids"]]
+        if not all(_integer(i) for i in ids):
+            raise LmProtocolError("tokenize response holds an id that is not an integer")
+        return ids
 
     def detokenize(self, ids: list[TokenId]) -> str:
         return self.detokenize_batch([ids])[0]
@@ -281,30 +292,28 @@ class RemoteLm(LmContract):
 
     def next_logits(self, prefix: list[TokenId]) -> LmStep:
         """The next-token distribution the backend reports, top-k truncated or floored."""
-        return self.next_logits_batch([prefix])[0]
+        return self.next_logits_batch(prefix, [[]])[0]
 
-    def next_logits_batch(self, prefixes: list[list[TokenId]]) -> list[LmStep]:
-        """One ``/v1/logits`` request; the batch's common prefix is sent once."""
-        if not prefixes:
+    def next_logits_batch(self, prefix: list[TokenId],
+                          suffixes: list[list[TokenId]]) -> list[LmStep]:
+        """One ``/v1/logits`` request; ``prefix`` is sent once for all suffixes."""
+        if not suffixes:
             return []
-        prefixes = [list(prefix) for prefix in prefixes]
-        shared = os.path.commonprefix(prefixes)
-        data = self._post("/v1/logits", {
-            "prefix": shared,
-            "suffixes": [prefix[len(shared):] for prefix in prefixes],
-            "top_k": self.top_k,
-        })
+        data = self._post("/v1/logits",
+                          {"prefix": prefix, "suffixes": suffixes, "top_k": self.top_k})
         for key in ("steps", "eos_id", "vocab_size"):
             if key not in data:
                 raise LmProtocolError(f"logits response missing field {key!r}")
         steps = data["steps"]
-        if not isinstance(steps, list) or len(steps) != len(prefixes):
+        if not isinstance(steps, list) or len(steps) != len(suffixes):
             got = len(steps) if isinstance(steps, list) else type(steps).__name__
             raise LmProtocolError(
-                f"logits response has {got} steps for {len(prefixes)} prefixes")
-        vocab_size = int(data["vocab_size"])
+                f"logits response has {got} steps for {len(suffixes)} suffixes")
+        meta = (data["eos_id"], data["vocab_size"])
+        if not all(_integer(value) for value in meta):
+            raise LmProtocolError(f"eos_id and vocab_size must be integers, got {meta}")
+        vocab_size = meta[1]
         parsed = [self._parse_step(step, vocab_size) for step in steps]
-        meta = (int(data["eos_id"]), vocab_size)
         if self._meta is None:
             self._meta = meta
         elif meta != self._meta:
@@ -314,18 +323,18 @@ class RemoteLm(LmContract):
         return parsed
 
     def _parse_step(self, step: object, vocab_size: int) -> LmStep:
-        if not isinstance(step, dict) or "tokens" not in step or "floor" not in step:
+        if (not isinstance(step, dict) or "floor" not in step
+                or not isinstance(step.get("tokens"), list)):
             raise LmProtocolError(f"malformed logits step: {step!r}")
         logits: dict[TokenId, float] = {}
         for entry in step["tokens"]:
             if not isinstance(entry, dict) or "id" not in entry or "logprob" not in entry:
                 raise LmProtocolError(f"malformed token entry: {entry!r}")
-            logprob = entry["logprob"]
+            tid, logprob = entry["id"], entry["logprob"]
             if not _finite_number(logprob):
-                raise LmProtocolError(f"non-finite logprob for token {entry['id']!r}")
-            tid = int(entry["id"])
-            if not 0 <= tid < vocab_size:
-                raise LmProtocolError(f"token id {tid} outside [0, {vocab_size})")
+                raise LmProtocolError(f"non-finite logprob for token {tid!r}")
+            if not (_integer(tid) and 0 <= tid < vocab_size):
+                raise LmProtocolError(f"token id {tid!r} outside [0, {vocab_size})")
             if tid in logits:
                 raise LmProtocolError(f"token id {tid} listed twice")
             logits[tid] = float(logprob)
@@ -457,16 +466,15 @@ def _make_handler(lm: LmContract):
                     batch = _id_lists(payload["batch"], "batch")
                     self._reply(200, {"texts": lm.detokenize_batch(batch)})
                 elif self.path == "/v1/logits":
-                    shared = _id_list(payload["prefix"], "prefix")
-                    prefixes = [shared + suffix
-                                for suffix in _id_lists(payload["suffixes"], "suffixes")]
-                    top_k = int(payload.get("top_k", 50))
+                    prefix = _id_list(payload["prefix"], "prefix")
+                    suffixes = _id_lists(payload["suffixes"], "suffixes")
+                    top_k = int(payload["top_k"])
                     if top_k < 1:
                         raise ValueError(f"top_k must be >= 1, got {top_k}")
                     vocab_size = lm.vocab_size
                     self._reply(200, {
                         "steps": [_wire_step(step, top_k, vocab_size)
-                                  for step in lm.next_logits_batch(prefixes)],
+                                  for step in lm.next_logits_batch(prefix, suffixes)],
                         "eos_id": lm.eos,
                         "vocab_size": vocab_size,
                     })

@@ -55,7 +55,6 @@ class Ontology:
     """Immutable class graph with hierarchy and restriction queries."""
 
     classes: dict[ClassId, OntologyClass]
-    excluded_roots: tuple[ClassId, ...] = ()
     _children: dict[ClassId, tuple[ClassId, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -160,7 +159,7 @@ class Ontology:
         if excluded_roots:
             classes = _drop_classes(classes, _excluded_branch(classes, excluded_roots))
 
-        return cls(classes=classes, excluded_roots=excluded_roots)
+        return cls(classes=classes)
 
 
 def load_ontology(path: str | Path) -> Ontology:

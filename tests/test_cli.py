@@ -22,6 +22,16 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def _argv(fixture_tree, command: str) -> list[str]:
+    """``command`` over the fixture tree, with its config."""
+    inputs = {
+        "build-dcf": [],
+        "extract": [str(fixture_tree["admission"] / "notes.jsonl")],
+        "summarize": [str(fixture_tree["admission"]), "--domain", "cardio"],
+    }[command]
+    return [command, *inputs, "--config", str(fixture_tree["config"])]
+
+
 class TestBuildDcf:
     def test_writes_per_domain_and_average(self, fixture_tree, capsys):
         code, out, _ = run(capsys, "build-dcf", "--config", str(fixture_tree["config"]))
@@ -424,7 +434,14 @@ class TestRepeatedRuns:
         assert code == 0
         assert cli.DEFAULTS == before
 
-    def test_build_dcf_bytes_independent_of_hash_seed(self, fixture_tree, tmp_path):
+    @pytest.mark.parametrize("command, files", [
+        pytest.param("build-dcf", ["dcf_average.json", "dcf_cardio.json", "dcf_neuro.json"],
+                     id="build-dcf"),
+        pytest.param("extract", ["csr_note-1.json", "csr_note-2.json"], id="extract"),
+        pytest.param("summarize", ["structured_summary.json", "summary.txt"], id="summarize"),
+    ])
+    def test_output_bytes_independent_of_hash_seed(self, fixture_tree, tmp_path,
+                                                   command, files):
         src = str(Path(ontodecode.__file__).resolve().parents[1])
         outputs = []
         for seed in ("1", "2", "3"):
@@ -432,10 +449,22 @@ class TestRepeatedRuns:
             env = dict(os.environ, PYTHONHASHSEED=seed,
                        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
             subprocess.run(
-                [sys.executable, "-m", "ontodecode.cli", "build-dcf",
-                 "--config", str(fixture_tree["config"]), "--set", f"output_dir={out}"],
+                [sys.executable, "-m", "ontodecode.cli", *_argv(fixture_tree, command),
+                 "--set", f"output_dir={out}"],
                 env=env, check=True, capture_output=True, timeout=60,
             )
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert len(outputs[0]) == 3
+        assert list(outputs[0]) == files
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_second_in_process_summarize_writes_the_same_bytes(self, fixture_tree, tmp_path,
+                                                               capsys):
+        outputs = []
+        for run_no in (1, 2):
+            out = tmp_path / f"out-{run_no}"
+            code, _, err = run(capsys, *_argv(fixture_tree, "summarize"),
+                               "--set", f"output_dir={out}")
+            assert code == 0, err
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert list(outputs[0]) == ["structured_summary.json", "summary.txt"]
+        assert outputs[0] == outputs[1]

@@ -321,23 +321,26 @@ class TestDecode:
 
     def test_one_logits_batch_per_step(self, medical_ontology, medical_lexicon):
         lm = random_ngram_lm(random.Random(43))
-        batches: list[list[list[int]]] = []
+        batches: list[tuple[list[int], list[list[int]]]] = []
         original = lm.next_logits_batch
 
-        def spy(prefixes):
-            batches.append([list(p) for p in prefixes])
-            return original(prefixes)
+        def spy(prefix, suffixes):
+            batches.append((list(prefix), [list(s) for s in suffixes]))
+            return original(prefix, suffixes)
 
         lm.next_logits_batch = spy
         cfg = _config(beam_size=4, num_groups=2, diversity_penalty=0.5, window=2,
                       max_tokens=6)
-        decode(lm, "", medical_ontology, medical_lexicon, None, "", cfg)
-        assert batches[0] == [[], []]  # one beam per group at the start
+        prompt = lm.detokenize([0, 1, 0])
+        decode(lm, prompt, medical_ontology, medical_lexicon, None, "", cfg)
+        assert batches[0][1] == [[], []]  # one beam per group at the start
         assert len(batches) <= cfg.max_tokens
-        for step, prefixes in enumerate(batches):
-            # Every prefix is the one the step started from.
-            assert [len(p) for p in prefixes] == [step] * len(prefixes)
-            assert 1 <= len(prefixes) <= cfg.beam_size
+        for step, (prefix, suffixes) in enumerate(batches):
+            # The prompt is sent once as the prefix; each suffix is a beam's
+            # tokens as the step started from them.
+            assert prefix == [0, 1, 0]
+            assert [len(s) for s in suffixes] == [step] * len(suffixes)
+            assert 1 <= len(suffixes) <= cfg.beam_size
 
     def test_matches_vanilla_beam_search(self):
         rng = random.Random(29)

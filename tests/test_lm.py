@@ -190,7 +190,7 @@ class TestWireProtocol:
         for token, logprob in top2.logits.items():
             assert local[token] == logprob
 
-    def test_batch_sends_the_common_prefix_once(self, served_ngram, monkeypatch):
+    def test_batch_sends_the_given_prefix_once(self, served_ngram, monkeypatch):
         lm, server = served_ngram
         remote = RemoteLm(server.endpoint, top_k=lm.vocab_size)
         original = requests.Session.post
@@ -202,14 +202,21 @@ class TestWireProtocol:
 
         monkeypatch.setattr(requests.Session, "post", post)
         the, dog, cat = lm.tokenize("the dog cat")
-        prefixes = [[the, dog], [the, cat], [the]]
-        steps = remote.next_logits_batch(prefixes)
+        suffixes = [[dog], [cat], []]
+        prefixes = [[the] + suffix for suffix in suffixes]
+        steps = remote.next_logits_batch([the], suffixes)
         assert sent == [{"prefix": [the], "suffixes": [[dog], [cat], []],
                          "top_k": lm.vocab_size}]
         assert [dense(step) for step in steps] == [dense(lm.next_logits(p)) for p in prefixes]
 
+        # The client factors out nothing itself: a start the suffixes share
+        # is sent once per suffix.
+        steps = remote.next_logits_batch([], prefixes)
+        assert sent[1] == {"prefix": [], "suffixes": prefixes, "top_k": lm.vocab_size}
+        assert [dense(step) for step in steps] == [dense(lm.next_logits(p)) for p in prefixes]
+
         texts = remote.detokenize_batch(prefixes + [[]])
-        assert sent[1] == {"batch": prefixes + [[]]}
+        assert sent[2] == {"batch": prefixes + [[]]}
         assert texts == ["the dog", "the cat", "the", ""]
 
     def test_empty_batches_send_no_request(self, served_ngram, monkeypatch):
@@ -220,7 +227,8 @@ class TestWireProtocol:
             raise AssertionError("an empty batch sent a request")
 
         monkeypatch.setattr(requests.Session, "post", post)
-        assert remote.next_logits_batch([]) == []
+        assert remote.next_logits_batch([], []) == []
+        assert remote.next_logits_batch([1], []) == []
         assert remote.detokenize_batch([]) == []
 
     @pytest.mark.parametrize("path, payload", [
@@ -231,6 +239,7 @@ class TestWireProtocol:
         ("/v1/logits", {"prefix": 0, "suffixes": [[]], "top_k": 2}),
         ("/v1/detokenize", {"batch": [0]}),
         ("/v1/detokenize", {"ids": [0]}),
+        ("/v1/logits", {"prefix": [], "suffixes": [[]]}),
     ])
     def test_malformed_batch_gets_400_and_server_keeps_serving(self, served_ngram,
                                                                 path, payload):
@@ -359,6 +368,8 @@ class TestRemoteValidation:
         {"tokens": []},
         {"floor": None},
         [],
+        {"tokens": None, "floor": None},
+        {"tokens": 5, "floor": None},
     ])
     def test_malformed_step_rejected(self, step):
         body = json.dumps({"steps": [step], "eos_id": 9, "vocab_size": 10})
@@ -400,7 +411,7 @@ class TestRemoteValidation:
         with pytest.raises(LmProtocolError, match="listed twice"):
             self.run_against(_logits_body([4, 2, 4]))
 
-    @pytest.mark.parametrize("tid", [10, 11, -1])
+    @pytest.mark.parametrize("tid", [10, 11, -1, "x", 1.7, True])
     def test_token_id_outside_vocabulary_rejected(self, tid):
         with pytest.raises(LmProtocolError, match="outside"):
             self.run_against(_logits_body([0, tid]))
@@ -412,14 +423,35 @@ class TestRemoteValidation:
         (3, [[1], [2]]),
     ])
     def test_step_count_other_than_the_suffix_count_rejected(self, n_steps, prefixes):
-        with pytest.raises(LmProtocolError, match=f"{n_steps} steps for {len(prefixes)}"):
+        with pytest.raises(LmProtocolError,
+                           match=f"{n_steps} steps for {len(prefixes)} suffixes"):
             self.run_against(_logits_body([0], steps=n_steps),
-                             call=lambda remote: remote.next_logits_batch(prefixes))
+                             call=lambda remote: remote.next_logits_batch([], prefixes))
 
     def test_steps_not_a_list_rejected(self):
         body = json.dumps({"steps": {"tokens": []}, "eos_id": 9, "vocab_size": 10})
-        with pytest.raises(LmProtocolError, match="dict steps for 1 prefixes"):
+        with pytest.raises(LmProtocolError, match="dict steps for 1 suffixes"):
             self.run_against(body)
+
+    @pytest.mark.parametrize("eos_id, vocab_size", [
+        (9, None),
+        ("x", 10),
+        (9, 2.5),
+        (True, 10),
+    ])
+    def test_eos_id_or_vocab_size_not_an_integer_rejected(self, eos_id, vocab_size):
+        with pytest.raises(LmProtocolError, match="must be integers"):
+            self.run_against(_logits_body([0], eos_id, vocab_size))
+
+    @pytest.mark.parametrize("body", [
+        {"ids": ["x"]},
+        {"ids": [None]},
+        {"ids": [1.9]},
+        {"ids": [0, True]},
+    ])
+    def test_tokenize_id_not_an_integer_rejected(self, body):
+        with pytest.raises(LmProtocolError, match="not an integer"):
+            self.run_against(json.dumps(body), call=lambda remote: remote.tokenize("a"))
 
     @pytest.mark.parametrize("floor", ['"-1.0"', "true", "[]", "NaN", "Infinity", "-Infinity"])
     def test_floor_not_a_finite_number_rejected(self, floor):
@@ -444,6 +476,7 @@ class TestRemoteValidation:
         ({"texts": ["a", None]}, "not a string"),
         ({"texts": "a b"}, "missing 'texts' list"),
         ({"text": "a b"}, "missing 'texts' list"),
+        (["a", "b"], "not a JSON object"),
     ])
     def test_bad_detokenize_reply_rejected(self, body, match):
         with pytest.raises(LmProtocolError, match=match):

@@ -10,7 +10,6 @@ or the dense distribution itself when k covers the vocabulary.
 """
 
 import math
-import os
 import random
 import threading
 from collections import Counter
@@ -59,7 +58,7 @@ def reference_decode(lm, next_logits, prompt, onto, lex, base, note, cfg):
     per_group = cfg.beam_size // cfg.num_groups
     groups = [
         [BeamState(tokens=list(prompt_ids), cum_logprob=0.0,
-                   window_start=len(prompt_ids), gen_start=len(prompt_ids))]
+                   window_start=len(prompt_ids))]
         for g in range(cfg.num_groups)
     ]
 
@@ -93,7 +92,6 @@ def reference_decode(lm, next_logits, prompt, onto, lex, base, note, cfg):
                     cum_logprob=score,
                     window_start=parent.window_start,
                     finished=(token == lm.eos),
-                    gen_start=parent.gen_start,
                 ))
                 group_chosen.append(token)
             groups[g] = new_beams
@@ -239,20 +237,19 @@ def test_served_logits_body_matches_dense_ranking(monkeypatch):
             remote = RemoteLm(server.endpoint, top_k=top_k)
             shared = [rng.randrange(V - 1) for _ in range(rng.randint(1, 3))]
             batches = [
-                # One shared start, then suffixes of different lengths.
-                [shared + [rng.randrange(V - 1) for _ in range(n)] for n in range(4)],
-                # Nothing shared: distinct first tokens, and the empty prefix.
-                [[t] + [rng.randrange(V - 1) for _ in range(rng.randint(0, 2))]
-                 for t in rng.sample(range(V - 1), 4)] + [[]],
+                # One prefix, then suffixes of different lengths.
+                (shared, [[rng.randrange(V - 1) for _ in range(n)] for n in range(4)]),
+                # No prefix: distinct first tokens, and the empty suffix.
+                ([], [[t] + [rng.randrange(V - 1) for _ in range(rng.randint(0, 2))]
+                      for t in rng.sample(range(V - 1), 4)] + [[]]),
             ]
-            for prefixes in batches:
+            for prefix, suffixes in batches:
                 sent.clear()
-                steps = remote.next_logits_batch(prefixes)
-                assert len(sent) == 1
-                assert sent[0]["prefix"] == os.path.commonprefix(prefixes)
-                assert len(steps) == len(prefixes)
-                for prefix, step in zip(prefixes, steps):
-                    want = dense_next_logits(lm, prefix)
+                steps = remote.next_logits_batch(prefix, suffixes)
+                assert sent == [{"prefix": prefix, "suffixes": suffixes, "top_k": top_k}]
+                assert len(steps) == len(suffixes)
+                for suffix, step in zip(suffixes, steps):
+                    want = dense_next_logits(lm, prefix + suffix)
                     if top_k < V:
                         ranked = sorted(want.items(), key=lambda kv: (-kv[1], kv[0]))
                         assert list(step.logits.items()) == ranked[:top_k]
@@ -263,7 +260,7 @@ def test_served_logits_body_matches_dense_ranking(monkeypatch):
                         assert list(got) == list(want)
                         assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
             sent.clear()
-            assert remote.next_logits_batch([]) == []
+            assert remote.next_logits_batch(shared, []) == []
             assert sent == []
     finally:
         server.shutdown()

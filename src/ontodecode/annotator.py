@@ -44,9 +44,6 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, form: str) -> bool:
-        return normalize_surface(form) in self.entries
-
 
 def normalize_surface(surface: str) -> str:
     """Lowercase and collapse whitespace runs to single spaces."""
@@ -67,28 +64,22 @@ def build_lexicon(ontology: Ontology) -> Lexicon:
     entries: dict[str, ClassId] = {}
 
     def add(form: str, class_id: ClassId) -> None:
-        normalized = normalize_surface(form)
-        if not normalized:
-            return
-        existing = entries.get(normalized)
+        existing = entries.get(form)
         if existing is not None and existing != class_id:
             raise LexiconCollisionError(
-                f"surface form {normalized!r} maps to both {existing!r} and {class_id!r}"
+                f"surface form {form!r} maps to both {existing!r} and {class_id!r}"
             )
-        entries[normalized] = class_id
+        entries[form] = class_id
 
-    forms: list[tuple[str, ClassId]] = []
-    for cls in ontology.classes.values():
-        forms.append((cls.label, cls.id))
-        for synonym in cls.synonyms:
-            forms.append((synonym, cls.id))
-
+    forms = [(normalized, cls.id)
+             for cls in ontology.classes.values()
+             for form in (cls.label, *cls.synonyms)
+             if (normalized := normalize_surface(form))]
     for form, class_id in forms:
         add(form, class_id)
     for form, class_id in forms:
-        normalized = normalize_surface(form)
-        if normalized and not normalized.endswith("s"):
-            add(normalized + "s", class_id)
+        if not form.endswith("s"):
+            add(form + "s", class_id)
 
     return Lexicon(entries=entries)
 

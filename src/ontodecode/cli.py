@@ -141,16 +141,33 @@ def load_config(args: argparse.Namespace) -> dict:
     return config
 
 
+# By the type of a default: the types its value may have, and their name.
+_LEAF_TYPES: dict[type, tuple[tuple[type, ...], str]] = {
+    type(None): ((type(None), str), "a string or null"), bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string"),
+    list: ((list,), "a list of strings"),
+}
+
+
 def _check_shape(config: dict, defaults: dict, prefix: str = "") -> None:
-    """Every key is one ``defaults`` holds, and every object there stays an object."""
+    """Every key is one ``defaults`` holds, and every value has its default's type.
+
+    A bool is neither an int nor a float, and a list holds strings only.
+    """
     for key, value in config.items():
         name = prefix + key
         if key not in defaults:
             raise UsageError(f"unknown config key {name!r}")
-        if isinstance(defaults[key], dict):
+        default = defaults[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise UsageError(f"config value {name!r} must be an object")
-            _check_shape(value, defaults[key], name + ".")
+            _check_shape(value, default, name + ".")
+            continue
+        types, what = _LEAF_TYPES[type(default)]
+        if (not isinstance(value, types) or isinstance(value, bool) != isinstance(default, bool)
+                or isinstance(value, list) and not all(isinstance(v, str) for v in value)):
+            raise UsageError(f"config value {name!r} must be {what}, got {json.dumps(value)}")
 
 
 def _existing(path: str | Path, what: str) -> Path:
@@ -178,7 +195,7 @@ def _decode_config(config: dict) -> DecodeConfig:
     try:
         cfg = DecodeConfig(**config["decode"])
         cfg.validate()
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"invalid decode configuration: {exc}") from exc
     return cfg
 
@@ -194,12 +211,12 @@ def _build_lm(config: dict) -> LmContract:
         lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
         if not lines:
             raise UsageError(f"lm corpus {path} is empty")
-        return train_ngram(lines, int(lm_config["order"]))
+        return train_ngram(lines, lm_config["order"])
     if kind == "remote":
         endpoint = lm_config["endpoint"]
         if not endpoint:
             raise UsageError("config value 'lm.endpoint' is required for the remote backend")
-        return RemoteLm(endpoint, top_k=int(lm_config["top_k"]))
+        return RemoteLm(endpoint, top_k=lm_config["top_k"])
     raise UsageError(f"unknown lm kind {kind!r}; expected 'ngram' or 'remote'")
 
 
@@ -219,7 +236,7 @@ def _write_json(path: Path, payload: Any) -> None:
 
 
 def _output_dir(config: dict) -> Path:
-    out = Path(config.get("output_dir") or "out")
+    out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -233,14 +250,8 @@ def _map_jobs(fn: Callable, items: Iterable, jobs: int) -> list:
 
 
 def _corpus_domains(config: dict, notes: list[Note]) -> list[str]:
-    configured = config["dcf"]["domains"]
-    if configured:
-        return [str(d) for d in configured]
-    seen: list[str] = []
-    for note in notes:
-        if note.domain is not None and note.domain not in seen:
-            seen.append(note.domain)
-    return seen
+    return config["dcf"]["domains"] or list(
+        dict.fromkeys(note.domain for note in notes if note.domain is not None))
 
 
 def _domain_dcfs(config: dict, onto: Ontology, lex) -> list[DCF]:
@@ -258,7 +269,7 @@ def _domain_dcfs(config: dict, onto: Ontology, lex) -> list[DCF]:
         if not docs:
             raise UsageError(f"domain {domain!r} has no documents in the corpus")
         dcfs.append(build_dcf(onto, lex, DomainSpec(name=domain, corpus=docs),
-                              min_occ=int(dcf_cfg["min_occ"]), count=str(dcf_cfg["count"])))
+                              min_occ=dcf_cfg["min_occ"], count=dcf_cfg["count"]))
     return dcfs
 
 
@@ -316,8 +327,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
     onto = _load_ontology(config)
     dcf_path = _existing(args.dcf, "DCF file")
     dcf = DCF.from_dict(json.loads(dcf_path.read_text(encoding="utf-8")))
-    k = int(config["prune"]["k"])
-    alpha = int(config["prune"]["alpha"])
+    k, alpha = config["prune"]["k"], config["prune"]["alpha"]
 
     out = _output_dir(config)
     for csr_file in args.csr_files:
@@ -356,11 +366,11 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     if args.no_prune:
         kept = csrs
     else:
-        k = int(config["prune"]["k"])
-        alpha = int(config["prune"]["alpha"])
-        kept = [prune_csr(csr, domain_dcf, onto, k=k, alpha=alpha) for csr in csrs]
+        prune = config["prune"]
+        kept = [prune_csr(csr, domain_dcf, onto, k=prune["k"], alpha=prune["alpha"])
+                for csr in csrs]
 
-    summary = verbalize(lm, onto, lex, kept, str(config["task_instruction"]), cfg)
+    summary = verbalize(lm, onto, lex, kept, config["task_instruction"], cfg)
 
     out = _output_dir(config)
     structured_path = out / "structured_summary.json"

@@ -143,9 +143,7 @@ class NgramLm(LmContract):
         return " ".join(words)
 
     def _context(self, prefix: list[TokenId]) -> tuple[TokenId, ...]:
-        if self.order == 1:
-            return ()
-        return tuple(prefix[-(self.order - 1):])
+        return tuple(prefix[max(0, len(prefix) - (self.order - 1)):])
 
     def next_logits(self, prefix: list[TokenId]) -> LmStep:
         context = self._context(prefix)
@@ -176,7 +174,7 @@ def train_ngram(corpus: list[str], n: int) -> NgramLm:
     for doc in corpus:
         sequence = [ids[w] for w in doc.split()]
         for t, token in enumerate(sequence):
-            context = () if n == 1 else tuple(sequence[max(0, t - (n - 1)):t])
+            context = tuple(sequence[max(0, t - (n - 1)):t])
             context_totals[context] += 1
             follower_counts[context][token] += 1
 
@@ -217,7 +215,7 @@ class RemoteLm(LmContract):
     without one lists every id that is possible.
     """
 
-    def __init__(self, endpoint: str, top_k: int = 50, *, timeout: float = 30.0,
+    def __init__(self, endpoint: str, top_k: int, *, timeout: float = 30.0,
                  retries: int = 3, backoff: float = 0.1):
         if top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -427,16 +425,17 @@ def _wire_step(step: LmStep, top_k: int, vocab_size: int) -> dict:
             "floor": floor}
 
 
-def _id_list(value: object, what: str) -> list[TokenId]:
-    if not isinstance(value, list):
-        raise TypeError(f"{what} must be a list of token ids")
-    return [int(i) for i in value]
+def _id_list(value: object, what: str, vocab_size: int) -> list[TokenId]:
+    if not (isinstance(value, list)
+            and all(_integer(i) and 0 <= i < vocab_size for i in value)):
+        raise ValueError(f"{what} must be a list of token ids in [0, {vocab_size})")
+    return value
 
 
-def _id_lists(value: object, what: str) -> list[list[TokenId]]:
+def _id_lists(value: object, what: str, vocab_size: int) -> list[list[TokenId]]:
     if not isinstance(value, list):
         raise TypeError(f"{what} must be a list of token-id lists")
-    return [_id_list(item, f"each item of {what}") for item in value]
+    return [_id_list(item, f"each item of {what}", vocab_size) for item in value]
 
 
 def _make_handler(lm: LmContract):
@@ -453,25 +452,28 @@ def _make_handler(lm: LmContract):
             self.wfile.write(body)
 
         def do_POST(self):  # noqa: N802 - stdlib signature
-            length = int(self.headers.get("Content-Length", 0))
             try:
+                length = int(self.headers.get("Content-Length", 0))
                 payload = json.loads(self.rfile.read(length).decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                self._reply(400, {"error": "request body is not valid JSON"})
+            except (ValueError, UnicodeDecodeError) as exc:
+                self._reply(400, {"error": f"unreadable JSON request body: {exc}"})
                 return
             try:
                 if self.path == "/v1/tokenize":
-                    self._reply(200, {"ids": lm.tokenize(str(payload["text"]))})
+                    text = payload["text"]
+                    if not isinstance(text, str):
+                        raise TypeError("text must be a string")
+                    self._reply(200, {"ids": lm.tokenize(text)})
                 elif self.path == "/v1/detokenize":
-                    batch = _id_lists(payload["batch"], "batch")
+                    batch = _id_lists(payload["batch"], "batch", lm.vocab_size)
                     self._reply(200, {"texts": lm.detokenize_batch(batch)})
                 elif self.path == "/v1/logits":
-                    prefix = _id_list(payload["prefix"], "prefix")
-                    suffixes = _id_lists(payload["suffixes"], "suffixes")
-                    top_k = int(payload["top_k"])
-                    if top_k < 1:
-                        raise ValueError(f"top_k must be >= 1, got {top_k}")
                     vocab_size = lm.vocab_size
+                    prefix = _id_list(payload["prefix"], "prefix", vocab_size)
+                    suffixes = _id_lists(payload["suffixes"], "suffixes", vocab_size)
+                    top_k = payload["top_k"]
+                    if not (_integer(top_k) and top_k >= 1):
+                        raise ValueError(f"top_k must be an integer >= 1, got {top_k!r}")
                     self._reply(200, {
                         "steps": [_wire_step(step, top_k, vocab_size)
                                   for step in lm.next_logits_batch(prefix, suffixes)],

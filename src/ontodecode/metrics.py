@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from .ontology import ClassId
 
@@ -133,9 +133,7 @@ def adjusted_hallucination_score(
     reference_concepts: set[ClassId],
 ) -> float:
     """Like :func:`hallucination_score` but forgiving concepts from the reference."""
-    if not summary_concepts:
-        raise ValueError("hallucination score undefined for an empty summary concept set")
-    return len(summary_concepts - (note_concepts | reference_concepts)) / len(summary_concepts)
+    return hallucination_score(summary_concepts, note_concepts | reference_concepts)
 
 
 class ClassifierContract(Protocol):
@@ -174,14 +172,9 @@ def groundedness(
     labels: Mapping[ClassId, str],
 ) -> float:
     """Mean entailment of "[label] : [value]" hypotheses against the note."""
-    scores = [
-        nli.entail(note, f"{labels[class_id]} : {value}")
-        for class_id, value in csr.entries.items()
-        if value != NOT_EXTRACTED
-    ]
-    if not scores:
-        raise ValueError("groundedness undefined: every entry is N/A")
-    return sum(scores) / len(scores)
+    return _mean_over_extracted(
+        "groundedness", csr,
+        lambda class_id, value: nli.entail(note, f"{labels[class_id]} : {value}"))
 
 
 def relevance(
@@ -190,13 +183,17 @@ def relevance(
     labels: Mapping[ClassId, str],
 ) -> float:
     """Mean entailment of concept labels against their extracted values."""
-    scores = [
-        nli.entail(value, labels[class_id])
-        for class_id, value in csr.entries.items()
-        if value != NOT_EXTRACTED
-    ]
+    return _mean_over_extracted(
+        "relevance", csr, lambda class_id, value: nli.entail(value, labels[class_id]))
+
+
+def _mean_over_extracted(name: str, csr: "CSR",
+                         score: Callable[[ClassId, str], float]) -> float:
+    """Mean of ``score(class_id, value)`` over the entries that are not N/A."""
+    scores = [score(class_id, value) for class_id, value in csr.entries.items()
+              if value != NOT_EXTRACTED]
     if not scores:
-        raise ValueError("relevance undefined: every entry is N/A")
+        raise ValueError(f"{name} undefined: every entry is N/A")
     return sum(scores) / len(scores)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -155,11 +155,14 @@ class Ontology:
         _check_references(classes)
         _check_acyclic(classes)
 
-        excluded_roots = tuple(data.get("excluded_roots", []))
-        if excluded_roots:
-            classes = _drop_classes(classes, _excluded_branch(classes, excluded_roots))
-
-        return cls(classes=classes)
+        onto = cls(classes=classes)
+        removed: set[ClassId] = set()
+        for root in data.get("excluded_roots", []):
+            if root not in classes:
+                logger.warning("excluded root %r not present in ontology, skipping", root)
+                continue
+            removed |= {root} | onto.descendants_within(root, len(classes))
+        return cls(classes=_drop_classes(classes, removed)) if removed else onto
 
 
 def load_ontology(path: str | Path) -> Ontology:
@@ -251,25 +254,6 @@ def _children_map(classes: dict[ClassId, OntologyClass]) -> dict[ClassId, tuple[
     return {cid: tuple(kids) for cid, kids in children.items()}
 
 
-def _excluded_branch(
-    classes: dict[ClassId, OntologyClass], excluded_roots: tuple[ClassId, ...]
-) -> set[ClassId]:
-    children = _children_map(classes)
-    removed: set[ClassId] = set()
-    for root in excluded_roots:
-        if root not in classes:
-            logger.warning("excluded root %r not present in ontology, skipping", root)
-            continue
-        queue = deque([root])
-        while queue:
-            current = queue.popleft()
-            if current in removed:
-                continue
-            removed.add(current)
-            queue.extend(children[current])
-    return removed
-
-
 def _drop_classes(
     classes: dict[ClassId, OntologyClass], removed: set[ClassId]
 ) -> dict[ClassId, OntologyClass]:
@@ -288,11 +272,5 @@ def _drop_classes(
                 )
             if pairs:
                 restrictions.append(Restriction(kind=restriction.kind, pairs=pairs))
-        survivors[cls.id] = OntologyClass(
-            id=cls.id,
-            label=cls.label,
-            synonyms=cls.synonyms,
-            parents=parents,
-            restrictions=tuple(restrictions),
-        )
+        survivors[cls.id] = replace(cls, parents=parents, restrictions=tuple(restrictions))
     return survivors

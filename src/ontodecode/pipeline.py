@@ -182,10 +182,7 @@ def extract_csr(lm: LmContract, onto: Ontology, lex: Lexicon,
     if not text:
         raise ValueError(f"note {note_id!r} has empty text")
 
-    ordered: list[ClassId] = []
-    for annotation in annotate(lex, text):
-        if annotation.class_id not in ordered:
-            ordered.append(annotation.class_id)
+    ordered = list(dict.fromkeys(a.class_id for a in annotate(lex, text)))
     if concepts is not None:
         ordered = [c for c in ordered if c in concepts]
 

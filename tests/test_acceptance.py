@@ -312,4 +312,4 @@ class TestAcceptance:
                 assert remote.tokens == local.tokens
             finally:
                 proc.terminate()
-                proc.wait(timeout=10)
+                proc.communicate(timeout=10)

@@ -355,11 +355,34 @@ class TestLoadConfig:
         ("prune=[1]", "config value 'prune' must be an object"),
         ("dcf.min_ocu=3", "unknown config key 'dcf.min_ocu'"),
         ("ontology_pth=x", "unknown config key 'ontology_pth'"),
+        ("dcf.min_occ=1.7", "config value 'dcf.min_occ' must be an integer, got 1.7"),
+        ("dcf.min_occ=true", "config value 'dcf.min_occ' must be an integer, got true"),
+        ("prune.k=2.5", "config value 'prune.k' must be an integer, got 2.5"),
+        ("lm.order=true", "config value 'lm.order' must be an integer, got true"),
+        ("decode.beam_size=true", "config value 'decode.beam_size' must be an integer, got true"),
+        ('prune.k="x"', "config value 'prune.k' must be an integer, got \"x\""),
+        ("decode.max_tokens=2.5", "config value 'decode.max_tokens' must be an integer, got 2.5"),
+        ("decode.h_bf=true", "config value 'decode.h_bf' must be a number, got true"),
+        ("decode.similarity_full_beam=1",
+         "config value 'decode.similarity_full_beam' must be true or false, got 1"),
+        ("dcf.domains=d0", "config value 'dcf.domains' must be a list of strings, got \"d0\""),
+        ("dcf.domains=[1]", "config value 'dcf.domains' must be a list of strings, got [1]"),
+        ("output_dir=null", "config value 'output_dir' must be a string, got null"),
+        ("ontology_path=3", "config value 'ontology_path' must be a string or null, got 3"),
     ])
     def test_bad_shape_is_usage_error(self, capsys, setting, message):
         code, _, err = run(capsys, "build-dcf", "--set", setting)
         assert code == 2
         assert json.loads(err)["error"] == {"type": "UsageError", "message": message}
+
+    @pytest.mark.parametrize("setting, section, key, value", [
+        ("decode.h_bf=3", "decode", "h_bf", 3),
+        ("lm.endpoint=http://h:1", "lm", "endpoint", "http://h:1"),
+        ("lm.corpus=null", "lm", "corpus", None),
+        ('dcf.domains=["a", "b"]', "dcf", "domains", ["a", "b"]),
+    ])
+    def test_value_of_the_default_type_is_accepted(self, setting, section, key, value):
+        assert _load("--set", setting) == _defaults_with(section, {key: value})
 
     @pytest.mark.parametrize("flag, raw, section, key, value", [
         ("--k", "3", "prune", "k", 3),
@@ -420,6 +443,64 @@ class TestMissingInputs:
         assert code == 2
         assert json.loads(err)["error"] == {
             "type": "UsageError", "message": f"{empty} contains no notes"}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("argv, message", [
+        ("build-dcf --config {not_json}", "config file {not_json} is not valid JSON: "),
+        ("build-dcf --config {array}", "config file {array} must hold a JSON object"),
+        ("build-dcf --set prune.k", "--set expects key=value, got 'prune.k'"),
+        ("extract {notes} --config {config} --set lm.kind=remote",
+         "config value 'lm.endpoint' is required for the remote backend"),
+        ("extract {notes} --config {config} --set lm.kind=gpt",
+         "unknown lm kind 'gpt'; expected 'ngram' or 'remote'"),
+        ("extract {notes} --config {config} --set lm.corpus=null",
+         "config value 'lm.corpus' is required for the ngram backend"),
+        ("extract {notes} --config {config} --set lm.corpus={blank}",
+         "lm corpus {blank} is empty"),
+        ("extract {notes} --config {config} --concept Nope --concept Fever",
+         "unknown concept ids: ['Nope']"),
+        ('build-dcf --config {config} --set dcf.domains=["cardio","ortho"]',
+         "domain 'ortho' has no documents in the corpus"),
+    ])
+    def test_usage_error_message(self, fixture_tree, capsys, tmp_path, argv, message):
+        paths = {
+            "config": fixture_tree["config"],
+            "notes": fixture_tree["admission"] / "notes.jsonl",
+            "not_json": tmp_path / "not_json.json",
+            "array": tmp_path / "array.json",
+            "blank": tmp_path / "blank.txt",
+        }
+        paths["not_json"].write_text("{decode: 1}")
+        paths["array"].write_text("[]")
+        paths["blank"].write_text("\n  \n")
+        code, _, err = run(capsys, *(part.format(**paths) for part in argv.split()))
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "UsageError"
+        assert error["message"].startswith(message.format(**paths))
+
+    def test_domains_default_to_the_corpus_in_first_occurrence_order(self, fixture_tree,
+                                                                     capsys, tmp_path):
+        notes = [{"id": "n1", "domain": "neuro", "text": "patient reports headache"},
+                 {"id": "x", "text": "aspirin given"},
+                 {"id": "c1", "domain": "cardio", "text": "aspirin given"},
+                 {"id": "n2", "domain": "neuro", "text": "migraine history noted"},
+                 {"id": "c2", "domain": "cardio", "text": "heart attack suspected"}]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(note) + "\n" for note in notes))
+        outputs = []
+        for domains in ("[]", '["neuro","cardio"]'):
+            out = tmp_path / f"out-{len(domains)}"
+            code, printed, err = run(capsys, "build-dcf", "--config", str(fixture_tree["config"]),
+                                     "--set", f"corpus_path={corpus}",
+                                     "--set", f"dcf.domains={domains}",
+                                     "--set", f"output_dir={out}")
+            assert code == 0, err
+            assert [Path(line).name for line in printed.split()] == [
+                "dcf_neuro.json", "dcf_cardio.json", "dcf_average.json"]
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
 
 
 class TestRepeatedRuns:

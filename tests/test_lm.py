@@ -1,3 +1,4 @@
+import http.client
 import json
 import logging
 import math
@@ -240,16 +241,48 @@ class TestWireProtocol:
         ("/v1/detokenize", {"batch": [0]}),
         ("/v1/detokenize", {"ids": [0]}),
         ("/v1/logits", {"prefix": [], "suffixes": [[]]}),
+        ("/v1/logits", {"prefix": [0.7], "suffixes": [[True]], "top_k": 2.9}),
+        ("/v1/logits", {"prefix": [], "suffixes": [[]], "top_k": "2"}),
+        ("/v1/logits", {"prefix": [], "suffixes": [[]], "top_k": True}),
+        ("/v1/logits", {"prefix": [], "suffixes": [[]], "top_k": 0}),
+        ("/v1/logits", {"prefix": [], "suffixes": [[99]], "top_k": 2}),
+        ("/v1/logits", {"prefix": [], "suffixes": [[-1]], "top_k": 2}),
+        ("/v1/logits", {"prefix": [6], "suffixes": [[]], "top_k": 2}),
+        ("/v1/detokenize", {"batch": [[1.9, True]]}),
+        ("/v1/tokenize", {"text": 5}),
+        ("/v1/tokenize", {"text": ["the"]}),
+        ("/v1/logits", "{not json"),
     ])
     def test_malformed_batch_gets_400_and_server_keeps_serving(self, served_ngram,
                                                                 path, payload):
         lm, server = served_ngram
-        reply = requests.post(server.endpoint + path, json=payload, timeout=10)
+        body = {"data": payload} if isinstance(payload, str) else {"json": payload}
+        reply = requests.post(server.endpoint + path, **body, timeout=10)
         assert reply.status_code == 400
         assert reply.json()["error"]
         remote = RemoteLm(server.endpoint, top_k=2)
         assert len(remote.next_logits(lm.tokenize("the")).logits) == 2
         assert remote.detokenize(lm.tokenize("the dog")) == "the dog"
+
+    def test_unknown_path_gets_404(self, served_ngram):
+        _, server = served_ngram
+        reply = requests.post(server.endpoint + "/v1/generate", json={"text": "the"},
+                              timeout=10)
+        assert reply.status_code == 404
+        assert reply.json() == {"error": "unknown path '/v1/generate'"}
+
+    def test_bad_content_length_gets_400(self, served_ngram):
+        _, server = served_ngram
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/tokenize")
+            conn.putheader("Content-Length", "abc")
+            conn.endheaders(b'{"text": "the"}')
+            reply = conn.getresponse()
+            assert reply.status == 400
+            assert json.loads(reply.read())["error"]
+        finally:
+            conn.close()
 
     def test_eos_and_vocab_size_probe(self, served_ngram):
         lm, server = served_ngram
@@ -402,6 +435,35 @@ class TestRemoteValidation:
         with caplog.at_level(logging.WARNING, logger="ontodecode.lm"):
             self.run_against(body)
         assert caplog.records == []
+
+    @pytest.mark.parametrize("status", [400, 404])
+    def test_client_error_status_is_not_retried(self, status):
+        httpd, state = _canned_server('{"error": "no"}', status=status)
+        remote = RemoteLm(f"http://127.0.0.1:{httpd.server_address[1]}", top_k=5,
+                          timeout=1, retries=3, backoff=0.01)
+        try:
+            with pytest.raises(LmProtocolError, match=f"unexpected status {status}"):
+                remote.next_logits([1])
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+        assert state["hits"] == 1
+
+    @pytest.mark.parametrize("body", [{"id": [0]}, {"ids": 3}, {"ids": None}])
+    def test_tokenize_reply_without_ids_list_rejected(self, body):
+        with pytest.raises(LmProtocolError, match="missing 'ids' list"):
+            self.run_against(json.dumps(body), call=lambda remote: remote.tokenize("a"))
+
+    @pytest.mark.parametrize("entry", [4, [4, -1.0], None, {"id": 4}, {"logprob": -1.0}])
+    def test_token_entry_not_an_id_logprob_object_rejected(self, entry):
+        body = json.dumps({"steps": [{"tokens": [entry], "floor": None}],
+                           "eos_id": 9, "vocab_size": 10})
+        with pytest.raises(LmProtocolError, match="malformed token entry"):
+            self.run_against(body)
+
+    def test_more_entries_than_top_k_rejected(self):
+        with pytest.raises(LmProtocolError, match="3 tokens for top_k=2"):
+            self.run_against(_logits_body([0, 1, 2]), top_k=2)
 
     def test_persistent_server_error(self):
         with pytest.raises(LmUnavailableError):

@@ -13,6 +13,7 @@ exit 2, runtime failures exit 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import functools
@@ -23,7 +24,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from . import metrics
 from .annotator import annotate, build_lexicon
@@ -191,12 +192,19 @@ def _require(config: dict, key: str) -> Any:
     return value
 
 
-def _decode_config(config: dict) -> DecodeConfig:
+@contextlib.contextmanager
+def _config_values(section: str) -> Iterator[None]:
+    """Report the library's ``ValueError`` over ``section``'s values as a usage error."""
     try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"invalid {section} configuration: {exc}") from exc
+
+
+def _decode_config(config: dict) -> DecodeConfig:
+    with _config_values("decode"):
         cfg = DecodeConfig(**config["decode"])
         cfg.validate()
-    except ValueError as exc:
-        raise UsageError(f"invalid decode configuration: {exc}") from exc
     return cfg
 
 
@@ -211,12 +219,14 @@ def _build_lm(config: dict) -> LmContract:
         lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
         if not lines:
             raise UsageError(f"lm corpus {path} is empty")
-        return train_ngram(lines, lm_config["order"])
+        with _config_values("lm"):
+            return train_ngram(lines, lm_config["order"])
     if kind == "remote":
         endpoint = lm_config["endpoint"]
         if not endpoint:
             raise UsageError("config value 'lm.endpoint' is required for the remote backend")
-        return RemoteLm(endpoint, top_k=lm_config["top_k"])
+        with _config_values("lm"):
+            return RemoteLm(endpoint, top_k=lm_config["top_k"])
     raise UsageError(f"unknown lm kind {kind!r}; expected 'ngram' or 'remote'")
 
 
@@ -242,6 +252,8 @@ def _output_dir(config: dict) -> Path:
 
 
 def _map_jobs(fn: Callable, items: Iterable, jobs: int) -> list:
+    if jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {jobs}")
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -268,8 +280,9 @@ def _domain_dcfs(config: dict, onto: Ontology, lex) -> list[DCF]:
         docs = [note.text for note in notes if note.domain == domain]
         if not docs:
             raise UsageError(f"domain {domain!r} has no documents in the corpus")
-        dcfs.append(build_dcf(onto, lex, DomainSpec(name=domain, corpus=docs),
-                              min_occ=dcf_cfg["min_occ"], count=dcf_cfg["count"]))
+        with _config_values("dcf"):
+            dcfs.append(build_dcf(onto, lex, DomainSpec(name=domain, corpus=docs),
+                                  min_occ=dcf_cfg["min_occ"], count=dcf_cfg["count"]))
     return dcfs
 
 
@@ -333,7 +346,8 @@ def cmd_prune(args: argparse.Namespace) -> int:
     for csr_file in args.csr_files:
         path = _existing(csr_file, "CSR file")
         csr = CSR.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        pruned = prune_csr(csr, dcf, onto, k=k, alpha=alpha)
+        with _config_values("prune"):
+            pruned = prune_csr(csr, dcf, onto, k=k, alpha=alpha)
         target = out / f"{path.stem}_pruned.json"
         _write_json(target, pruned.to_dict(onto))
         print(target)
@@ -367,8 +381,9 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         kept = csrs
     else:
         prune = config["prune"]
-        kept = [prune_csr(csr, domain_dcf, onto, k=prune["k"], alpha=prune["alpha"])
-                for csr in csrs]
+        with _config_values("prune"):
+            kept = [prune_csr(csr, domain_dcf, onto, k=prune["k"], alpha=prune["alpha"])
+                    for csr in csrs]
 
     summary = verbalize(lm, onto, lex, kept, config["task_instruction"], cfg)
 

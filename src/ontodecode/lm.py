@@ -19,7 +19,7 @@ import logging
 import math
 import threading
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Container, Iterator
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -161,25 +161,33 @@ def train_ngram(corpus: list[str], n: int) -> NgramLm:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
 
-    words: list[str] = []
     ids: dict[str, int] = {}
     for doc in corpus:
         for word in doc.split():
-            if word not in ids:
-                ids[word] = len(words)
-                words.append(word)
+            ids.setdefault(word, len(ids))
+    words = list(ids)
 
-    context_totals: Counter[tuple[TokenId, ...]] = Counter()
-    follower_counts: defaultdict[tuple[TokenId, ...], Counter] = defaultdict(Counter)
+    # Each gram is its context ids plus the token id, counted in corpus
+    # order by Counter.update in C: first the grams that start a document
+    # with a context shorter than n - 1, then every full n-gram. Documents
+    # are split one at a time, so that no more than one is held as ids.
+    grams: Counter[tuple[TokenId, ...]] = Counter()
     for doc in corpus:
-        sequence = [ids[w] for w in doc.split()]
-        for t, token in enumerate(sequence):
-            context = tuple(sequence[max(0, t - (n - 1)):t])
-            context_totals[context] += 1
-            follower_counts[context][token] += 1
+        sequence = list(map(ids.__getitem__, doc.split()))
+        grams.update(tuple(sequence[:t + 1]) for t in range(min(n - 1, len(sequence))))
+        grams.update(zip(*(sequence[i:] for i in range(n))))
+
+    # Folding the unique grams keeps each context's and each follower's
+    # first-occurrence order, since a Counter keeps first-insertion order.
+    context_totals: dict[tuple[TokenId, ...], int] = {}
+    follower_counts: dict[tuple[TokenId, ...], Counter] = {}
+    for gram, count in grams.items():
+        context = gram[:-1]
+        context_totals[context] = context_totals.get(context, 0) + count
+        follower_counts.setdefault(context, Counter())[gram[-1]] = count
 
     # Plain dicts, so that a lookup of an unseen context never inserts it.
-    return NgramLm(words, n, dict(context_totals), dict(follower_counts))
+    return NgramLm(words, n, context_totals, follower_counts)
 
 
 # --------------------------------------------------------------------------

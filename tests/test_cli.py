@@ -462,10 +462,28 @@ class TestConfigErrors:
          "unknown concept ids: ['Nope']"),
         ('build-dcf --config {config} --set dcf.domains=["cardio","ortho"]',
          "domain 'ortho' has no documents in the corpus"),
+        ("summarize {admission} --domain cardio --config {config} --set lm.order=0",
+         "invalid lm configuration: order must be >= 1, got 0"),
+        ("summarize {admission} --domain cardio --config {config} --set lm.order=-2",
+         "invalid lm configuration: order must be >= 1, got -2"),
+        ("summarize {admission} --domain cardio --config {config} --set dcf.min_occ=0",
+         "invalid dcf configuration: min_occ must be >= 1, got 0"),
+        ("summarize {admission} --domain cardio --config {config} --set prune.k=-1",
+         "invalid prune configuration: k must be >= 1, got -1"),
+        ("summarize {admission} --domain cardio --config {config} --set prune.alpha=-1",
+         "invalid prune configuration: alpha must be >= 0, got -1"),
+        ("summarize {admission} --domain cardio --config {config} --set lm.kind=remote"
+         " --set lm.endpoint=http://127.0.0.1:9 --set lm.top_k=0",
+         "invalid lm configuration: top_k must be >= 1, got 0"),
+        ("summarize {admission} --domain cardio --config {config} --jobs 0",
+         "--jobs must be >= 1, got 0"),
+        ("summarize {admission} --domain cardio --config {config} --jobs -3",
+         "--jobs must be >= 1, got -3"),
     ])
     def test_usage_error_message(self, fixture_tree, capsys, tmp_path, argv, message):
         paths = {
             "config": fixture_tree["config"],
+            "admission": fixture_tree["admission"],
             "notes": fixture_tree["admission"] / "notes.jsonl",
             "not_json": tmp_path / "not_json.json",
             "array": tmp_path / "array.json",
@@ -479,6 +497,17 @@ class TestConfigErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "UsageError"
         assert error["message"].startswith(message.format(**paths))
+
+    def test_out_of_range_prune_flag_is_usage_error(self, fixture_tree, capsys):
+        config = str(fixture_tree["config"])
+        run(capsys, "build-dcf", "--config", config)
+        run(capsys, *_argv(fixture_tree, "extract"))
+        code, _, err = run(capsys, "prune", str(fixture_tree["output"] / "csr_note-1.json"),
+                           "--dcf", str(fixture_tree["output"] / "dcf_cardio.json"),
+                           "--config", config, "--k", "0")
+        assert code == 2
+        assert json.loads(err)["error"] == {
+            "type": "UsageError", "message": "invalid prune configuration: k must be >= 1, got 0"}
 
     def test_domains_default_to_the_corpus_in_first_occurrence_order(self, fixture_tree,
                                                                      capsys, tmp_path):

@@ -2,8 +2,10 @@ import http.client
 import json
 import logging
 import math
+import pickle
 import random
 import threading
+from collections import Counter, defaultdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -14,6 +16,7 @@ from ontodecode.lm import (
     LmServer,
     LmStep,
     LmUnavailableError,
+    NgramLm,
     RemoteLm,
     train_ngram,
 )
@@ -21,7 +24,49 @@ from ontodecode.lm import (
 from conftest import dense, random_ngram_lm
 
 
+def _per_token_train_ngram(corpus: list[str], n: int) -> NgramLm:
+    """The per-token counting loop ``train_ngram`` replaced, kept as its oracle."""
+    words, ids = [], {}
+    for doc in corpus:
+        for word in doc.split():
+            if word not in ids:
+                ids[word] = len(words)
+                words.append(word)
+    context_totals, follower_counts = Counter(), defaultdict(Counter)
+    for doc in corpus:
+        sequence = [ids[w] for w in doc.split()]
+        for t, token in enumerate(sequence):
+            context = tuple(sequence[max(0, t - (n - 1)):t])
+            context_totals[context] += 1
+            follower_counts[context][token] += 1
+    return NgramLm(words, n, dict(context_totals), dict(follower_counts))
+
+
 class TestTrainNgram:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_model_pickles_as_the_per_token_loop(self, seed):
+        rng = random.Random(seed)
+        words = [f"w{i}" for i in range(rng.randint(1, 6))]
+        corpus = [rng.choice([" ", "  ", "\t"]).join(
+                      rng.choice(words) for _ in range(rng.randint(0, 9)))
+                  for _ in range(rng.randint(1, 6))]
+        corpus.insert(rng.randint(0, len(corpus)), rng.choice(["", " ", "\t \n"]))
+        for n in range(1, 6):
+            assert (pickle.dumps(train_ngram(corpus, n).__dict__)
+                    == pickle.dumps(_per_token_train_ngram(corpus, n).__dict__))
+
+    def test_contexts_and_followers_keep_first_occurrence_order(self):
+        # a=0, b=1, c=2. Sorted order, or every document's short contexts
+        # before the full ones, would list the contexts differently.
+        lm = train_ngram(["a b a c", "b c", "a a"], 3)
+        assert list(lm._context_totals.items()) == [
+            ((), 3), ((0,), 2), ((0, 1), 1), ((1, 0), 1), ((1,), 1)]
+        assert [(context, list(followers.items()))
+                for context, followers in lm._follower_counts.items()] == [
+            ((), [(0, 2), (1, 1)]), ((0,), [(1, 1), (0, 1)]), ((0, 1), [(0, 1)]),
+            ((1, 0), [(2, 1)]), ((1,), [(2, 1)])]
+        assert all(type(followers) is Counter for followers in lm._follower_counts.values())
+
     def test_bigram_conditional(self):
         lm = train_ngram(["a b", "a c"], 2)
         # vocab = {a, b, c} + EOS -> V = 4; count(a)=2, count(a b)=1

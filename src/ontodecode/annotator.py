@@ -5,6 +5,15 @@ The lexicon is derived from class labels and synonyms; matching is exact
 leftmost-longest policy. There is no statistical disambiguation: the idea
 is that coverage comes from explicit synonym lists, keeping annotation
 reproducible bit-for-bit.
+
+A span is grown one word at a time and stops as soon as it can no longer
+become a longer entry, so tagging costs about one lookup per word. Two
+facts of ``str.lower`` make that test subtle. It is context-sensitive for
+``Σ`` alone: ``"ΑΣ"`` lowers to ``"ας"`` but ``"ΑΣ.Β"`` to ``"ασ.β"``, so
+the test keys ``ς`` and ``σ`` alike. And ``İ`` lowers to ``"i̇"``, whose
+combining dot is not a word character, so an entry can continue at a
+point that is not a word end; every non-word character of an entry marks
+such a point.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from .ontology import ClassId, Ontology
 
 # Word characters are letters and digits; underscore is a boundary.
 _WORD_RE = re.compile(r"[^\W_]+")
+_NON_WORD_RE = re.compile(r"[\W_]")
 
 
 class LexiconCollisionError(ValueError):
@@ -32,14 +42,18 @@ class Annotation:
 
 @dataclass
 class Lexicon:
-    """Normalized surface form -> class id, plus the longest entry width."""
+    """Normalized surface form -> class id, plus the forms a match can grow from.
+
+    ``extends`` holds every non-empty prefix of an entry that ends just
+    before a non-word character, with ``ς`` keyed as ``σ``. A span whose
+    normalized form is not in it cannot grow into a longer entry.
+    """
 
     entries: dict[str, ClassId]
-    max_words: int = field(init=False)
+    extends: set[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        widths = [_word_count(form) for form in self.entries]
-        self.max_words = max(widths, default=0)
+        self.extends = _growable_prefixes(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -50,8 +64,23 @@ def normalize_surface(surface: str) -> str:
     return " ".join(surface.lower().split())
 
 
-def _word_count(form: str) -> int:
-    return len(_WORD_RE.findall(form))
+def _growable_prefixes(entries: dict[str, ClassId]) -> set[str]:
+    prefixes: set[str] = set()
+    add = prefixes.add
+    for form in entries:
+        if form[-1:] == "s" and form[:-1] in entries:
+            continue  # a plural: the same prefixes as its stem
+        form = form.replace("ς", "σ")
+        if form.replace(" ", "").isalnum():
+            # Spaces are the only non-word characters: cut there, without the regex.
+            end = form.rfind(" ")
+            while end > 0:
+                add(form[:end])
+                end = form.rfind(" ", 0, end)
+        else:
+            for match in _NON_WORD_RE.finditer(form, 1):
+                add(form[:match.start()])
+    return prefixes
 
 
 def build_lexicon(ontology: Ontology) -> Lexicon:
@@ -94,22 +123,30 @@ def annotate(lexicon: Lexicon, text: str) -> list[Annotation]:
     if not text or not lexicon.entries:
         return []
 
-    words = [(m.start(), m.end()) for m in _WORD_RE.finditer(text)]
+    entries, extends = lexicon.entries, lexicon.extends
+    spans = [m.span() for m in _WORD_RE.finditer(text)]
     annotations: list[Annotation] = []
-    i = 0
-    while i < len(words):
-        matched = False
-        last = min(i + lexicon.max_words - 1, len(words) - 1) if lexicon.max_words else -1
-        for j in range(last, i - 1, -1):
-            start, end = words[i][0], words[j][1]
-            class_id = lexicon.entries.get(normalize_surface(text[start:end]))
+    i, n = 0, len(spans)
+    while i < n:
+        start, end = spans[i]
+        form = text[start:end].lower()  # a word lowers to no whitespace
+        hit = None
+        j = i
+        while True:
+            class_id = entries.get(form)
             if class_id is not None:
-                annotations.append(
-                    Annotation(start=start, end=end, surface=text[start:end], class_id=class_id)
-                )
-                i = j + 1
-                matched = True
+                hit = j, end, class_id
+            j += 1
+            if j == n or form.replace("ς", "σ") not in extends:
                 break
-        if not matched:
+            end = spans[j][1]
+            form = normalize_surface(text[start:end])
+        if hit is None:
             i += 1
+            continue
+        last, end, class_id = hit
+        annotations.append(
+            Annotation(start=start, end=end, surface=text[start:end], class_id=class_id)
+        )
+        i = last + 1
     return annotations

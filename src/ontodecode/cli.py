@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Iterator
 from . import metrics
 from .annotator import annotate, build_lexicon
 from .decoder import DecodeConfig
-from .lm import LmContract, LmServer, NgramLm, RemoteLm, train_ngram
+from .lm import LmContract, LmServer, NgramLm, RemoteLm, check_order, check_top_k, train_ngram
 from .ontology import Ontology, load_ontology
 from .pipeline import (
     CSR,
@@ -38,6 +38,8 @@ from .pipeline import (
     Note,
     average_dcf,
     build_dcf,
+    check_dcf_options,
+    check_prune_options,
     extract_csr,
     normalize_dcf,
     prune_csr,
@@ -171,6 +173,25 @@ def _check_shape(config: dict, defaults: dict, prefix: str = "") -> None:
             raise UsageError(f"config value {name!r} must be {what}, got {json.dumps(value)}")
 
 
+def _checked_config(args: argparse.Namespace) -> dict:
+    """``load_config``, then every range and ``--jobs``, before any work starts.
+
+    A value is checked whether or not the command uses it, as the types are.
+    """
+    config = load_config(args)
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    _decode_config(config)
+    with _config_values("lm"):
+        check_order(config["lm"]["order"])
+        check_top_k(config["lm"]["top_k"])
+    with _config_values("dcf"):
+        check_dcf_options(config["dcf"]["min_occ"], config["dcf"]["count"])
+    with _config_values("prune"):
+        check_prune_options(config["prune"]["k"], config["prune"]["alpha"])
+    return config
+
+
 def _existing(path: str | Path, what: str) -> Path:
     path = Path(path)
     if not path.exists():
@@ -252,8 +273,6 @@ def _output_dir(config: dict) -> Path:
 
 
 def _map_jobs(fn: Callable, items: Iterable, jobs: int) -> list:
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {jobs}")
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -280,9 +299,8 @@ def _domain_dcfs(config: dict, onto: Ontology, lex) -> list[DCF]:
         docs = [note.text for note in notes if note.domain == domain]
         if not docs:
             raise UsageError(f"domain {domain!r} has no documents in the corpus")
-        with _config_values("dcf"):
-            dcfs.append(build_dcf(onto, lex, DomainSpec(name=domain, corpus=docs),
-                                  min_occ=dcf_cfg["min_occ"], count=dcf_cfg["count"]))
+        dcfs.append(build_dcf(onto, lex, DomainSpec(name=domain, corpus=docs),
+                              min_occ=dcf_cfg["min_occ"], count=dcf_cfg["count"]))
     return dcfs
 
 
@@ -292,7 +310,7 @@ def _domain_dcfs(config: dict, onto: Ontology, lex) -> list[DCF]:
 
 
 def cmd_build_dcf(args: argparse.Namespace) -> int:
-    config = load_config(args)
+    config = _checked_config(args)
     onto = _load_ontology(config)
     lex = build_lexicon(onto)
     raws = _domain_dcfs(config, onto, lex)
@@ -308,7 +326,7 @@ def cmd_build_dcf(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    config = load_config(args)
+    config = _checked_config(args)
     onto = _load_ontology(config)
     lex = build_lexicon(onto)
     cfg = _decode_config(config)
@@ -336,7 +354,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_prune(args: argparse.Namespace) -> int:
-    config = load_config(args)
+    config = _checked_config(args)
     onto = _load_ontology(config)
     dcf_path = _existing(args.dcf, "DCF file")
     dcf = DCF.from_dict(json.loads(dcf_path.read_text(encoding="utf-8")))
@@ -346,8 +364,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
     for csr_file in args.csr_files:
         path = _existing(csr_file, "CSR file")
         csr = CSR.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        with _config_values("prune"):
-            pruned = prune_csr(csr, dcf, onto, k=k, alpha=alpha)
+        pruned = prune_csr(csr, dcf, onto, k=k, alpha=alpha)
         target = out / f"{path.stem}_pruned.json"
         _write_json(target, pruned.to_dict(onto))
         print(target)
@@ -355,7 +372,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
-    config = load_config(args)
+    config = _checked_config(args)
     onto = _load_ontology(config)
     lex = build_lexicon(onto)
     cfg = _decode_config(config)
@@ -381,9 +398,8 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         kept = csrs
     else:
         prune = config["prune"]
-        with _config_values("prune"):
-            kept = [prune_csr(csr, domain_dcf, onto, k=prune["k"], alpha=prune["alpha"])
-                    for csr in csrs]
+        kept = [prune_csr(csr, domain_dcf, onto, k=prune["k"], alpha=prune["alpha"])
+                for csr in csrs]
 
     summary = verbalize(lm, onto, lex, kept, config["task_instruction"], cfg)
 
@@ -398,7 +414,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    config = load_config(args)
+    config = _checked_config(args)
     onto = _load_ontology(config)
     lex = build_lexicon(onto)
 
@@ -430,7 +446,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_ngram(args: argparse.Namespace) -> int:
-    config = load_config(args)
+    config = _checked_config(args)
     if config["lm"]["kind"] != "ngram":
         raise UsageError("serve-ngram requires lm.kind == 'ngram'")
     lm = _build_lm(config)

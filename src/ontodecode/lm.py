@@ -154,12 +154,23 @@ class NgramLm(LmContract):
         return LmStep(listed, math.log(1 / denom), self.vocab_size)
 
 
+def check_order(n: int) -> None:
+    """Raise ``ValueError`` unless ``train_ngram`` accepts the order ``n``."""
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+
+
+def check_top_k(top_k: int) -> None:
+    """Raise ``ValueError`` unless ``RemoteLm`` accepts ``top_k``."""
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
+
+
 def train_ngram(corpus: list[str], n: int) -> NgramLm:
     """Train the reference n-gram model on whitespace-tokenized documents."""
     if not corpus:
         raise ValueError("training corpus must be non-empty")
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+    check_order(n)
 
     ids: dict[str, int] = {}
     for doc in corpus:
@@ -225,8 +236,7 @@ class RemoteLm(LmContract):
 
     def __init__(self, endpoint: str, top_k: int, *, timeout: float = 30.0,
                  retries: int = 3, backoff: float = 0.1):
-        if top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {top_k}")
+        check_top_k(top_k)
         self.endpoint = endpoint.rstrip("/")
         self.top_k = top_k
         self.timeout = timeout

@@ -9,9 +9,10 @@ threads and decode sessions.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
-from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -30,7 +31,7 @@ class UnknownClassError(KeyError):
     """Raised when a query references a class id that does not exist."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Restriction:
     """And/Or-combined (property, value-class) constraints on a class."""
 
@@ -41,7 +42,7 @@ class Restriction:
         return tuple(value for _, value in self.pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OntologyClass:
     id: ClassId
     label: str
@@ -77,16 +78,21 @@ class Ontology:
 
     def ancestors(self, class_id: ClassId) -> set[ClassId]:
         """All classes reachable via parent edges, excluding the class itself."""
-        self._require(class_id)
-        seen: set[ClassId] = set()
-        queue = deque(self.classes[class_id].parents)
-        while queue:
-            current = queue.popleft()
-            if current in seen:
-                continue
-            seen.add(current)
-            queue.extend(self.classes[current].parents)
-        return seen
+        return self.closure(self._require(class_id).parents)
+
+    def closure(self, class_ids: Iterable[ClassId]) -> set[ClassId]:
+        """The given classes and every class reachable from them via parent edges."""
+        closed = set(class_ids)
+        for class_id in closed:
+            self._require(class_id)
+        classes = self.classes
+        stack = list(closed)
+        while stack:
+            for parent in classes[stack.pop()].parents:
+                if parent not in closed:
+                    closed.add(parent)
+                    stack.append(parent)
+        return closed
 
     def descendants_within(self, class_id: ClassId, alpha: int) -> set[ClassId]:
         """Classes reachable via child edges in at most ``alpha`` hops.
@@ -166,13 +172,26 @@ class Ontology:
 
 
 def load_ontology(path: str | Path) -> Ontology:
-    """Load, validate, and prune an ontology from a JSON file."""
+    """Load, validate, and prune an ontology from a JSON file.
+
+    Cyclic garbage collection is paused while the document is parsed and
+    built, and the caller's setting is restored afterwards.
+    """
     path = Path(path)
+    text = path.read_text(encoding="utf-8")
+    # The load allocates about ten containers per class and frees none of
+    # them, so collector passes during it find nothing and cost a third of it.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise OntologyError(f"{path}: not valid JSON: {exc}") from exc
-    return Ontology.from_dict(data)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise OntologyError(f"{path}: not valid JSON: {exc}") from exc
+        return Ontology.from_dict(data)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _parse_class(entry: dict) -> OntologyClass:
@@ -201,8 +220,8 @@ def _parse_class(entry: dict) -> OntologyClass:
     return OntologyClass(
         id=class_id,
         label=label,
-        synonyms=tuple(str(s) for s in entry.get("synonyms", [])),
-        parents=tuple(str(p) for p in entry.get("parents", [])),
+        synonyms=tuple(map(str, entry.get("synonyms", []))),
+        parents=tuple(map(str, entry.get("parents", []))),
         restrictions=tuple(restrictions),
     )
 

@@ -92,6 +92,14 @@ class DomainSpec:
     corpus: list[str]
 
 
+def check_dcf_options(min_occ: int, count: str) -> None:
+    """Raise ``ValueError`` unless ``build_dcf`` accepts ``min_occ`` and ``count``."""
+    if min_occ < 1:
+        raise ValueError(f"min_occ must be >= 1, got {min_occ}")
+    if count not in ("documents", "occurrences"):
+        raise ValueError(f"count must be 'documents' or 'occurrences', got {count!r}")
+
+
 def build_dcf(onto: Ontology, lex: Lexicon, domain: DomainSpec,
               min_occ: int = 1, count: str = "documents") -> DCF:
     """Build the raw DCF for one domain.
@@ -101,32 +109,22 @@ def build_dcf(onto: Ontology, lex: Lexicon, domain: DomainSpec,
     ``count="occurrences"`` sums tag counts instead, ancestors inheriting
     the counts of their tagged descendants.
     """
-    if min_occ < 1:
-        raise ValueError(f"min_occ must be >= 1, got {min_occ}")
-    if count not in ("documents", "occurrences"):
-        raise ValueError(f"count must be 'documents' or 'occurrences', got {count!r}")
+    check_dcf_options(min_occ, count)
     if not domain.corpus:
         raise ValueError(f"domain {domain.name!r} has an empty corpus")
 
-    freq: dict[ClassId, float] = {}
+    counts: Counter[ClassId] = Counter()
     for doc in domain.corpus:
         tag_counts = Counter(a.class_id for a in annotate(lex, doc))
         kept = {c: n for c, n in tag_counts.items() if n >= min_occ}
         if count == "documents":
-            augmented = set(kept)
-            for class_id in kept:
-                augmented |= onto.ancestors(class_id)
-            for class_id in augmented:
-                freq[class_id] = freq.get(class_id, 0.0) + 1.0
+            counts.update(onto.closure(kept))
         else:
-            weights: Counter[ClassId] = Counter()
             for class_id, n in kept.items():
-                weights[class_id] += n
+                counts[class_id] += n
                 for ancestor in onto.ancestors(class_id):
-                    weights[ancestor] += n
-            for class_id, n in weights.items():
-                freq[class_id] = freq.get(class_id, 0.0) + n
-    return DCF(domain=domain.name, freq=freq)
+                    counts[ancestor] += n
+    return DCF(domain=domain.name, freq={c: float(n) for c, n in counts.items()})
 
 
 def average_dcf(raw: list[DCF]) -> DCF:
@@ -197,16 +195,21 @@ def extract_csr(lm: LmContract, onto: Ontology, lex: Lexicon,
     return CSR(note_id=note_id, entries=entries)
 
 
+def check_prune_options(k: int, alpha: int) -> None:
+    """Raise ``ValueError`` unless ``prune_csr`` accepts ``k`` and ``alpha``."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+
+
 def prune_csr(csr: CSR, dcf: DCF, onto: Ontology, k: int, alpha: int) -> CSR:
     """Keep only CSR entries near the domain's top-k classes.
 
     The keep-set is the k highest-frequency DCF classes (ties broken by
     class id) plus everything within ``alpha`` hops below them.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    check_prune_options(k, alpha)
     ranked = heapq.nsmallest(k, dcf.freq.items(), key=lambda item: (-item[1], item[0]))
     top = [class_id for class_id, _ in ranked]
     keep = set(top)

@@ -66,9 +66,11 @@ class TestBuildLexicon:
         lex = build_lexicon(onto)
         assert "diabetess" not in lex.entries
 
-    def test_max_words_is_derived_not_passed(self):
+    def test_extends_is_derived_not_passed(self):
         with pytest.raises(TypeError):
-            Lexicon(entries={}, max_words=3)
+            Lexicon(entries={}, extends={"a"})
+        lex = Lexicon(entries={"heart attack": "HA", "heart attacks": "HA", "ας.β": "X"})
+        assert lex.extends == {"heart", "ασ"}
 
     def test_plural_collision_is_error(self):
         onto = make_ontology([
@@ -131,25 +133,38 @@ class TestAnnotate:
         assert annotate(medical_lexicon, text) == annotate(medical_lexicon, text)
 
 
+# Pieces that hit the corners of lowercasing: "ΑΣ" lowers to "ας" alone but
+# to "ασ" before another letter, "İ" lowers to "i" plus a combining dot
+# (not a word character), "ʰ" is a letter without case, "_" is a boundary.
+_PIECES = ["ab", "cd", "ΑΣ", "Σ", "xİ", "İ", "aʰ", "zz", ",", ".", ":", "-", "(", ")",
+           "  ", " ", "\t", "_", "s"]
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    entry_words=st.lists(
-        st.sampled_from(["ab", "cd", "ef", "gh", "x1"]), min_size=1, max_size=2
-    ),
-    data=st.data(),
-)
-def test_matches_brute_force(entry_words, data):
-    pool = ["ab", "cd", "ef", "gh", "x1", "zz", ",", ".", "  "]
-    # Build a small collision-free lexicon over the word pool.
-    n_entries = data.draw(st.integers(min_value=1, max_value=10))
+@given(data=st.data())
+def test_matches_brute_force(data):
+    # A small collision-free lexicon of normalized concatenations of pieces;
+    # the text joins pieces and the entries' raw sources, so entries occur in it.
+    sources = data.draw(st.lists(
+        st.lists(st.sampled_from(_PIECES), min_size=1, max_size=4).map("".join),
+        min_size=1, max_size=10))
     entries: dict[str, str] = {}
-    for i in range(n_entries):
-        words = data.draw(st.lists(st.sampled_from(pool[:6]), min_size=1, max_size=2))
-        form = " ".join(words)
-        entries.setdefault(form, f"K{i}")
-    pieces = data.draw(st.lists(st.sampled_from(pool), min_size=0, max_size=12))
-    text = " ".join(pieces)[:60]
+    for i, source in enumerate(sources):
+        if form := normalize_surface(source):
+            entries.setdefault(form, f"K{i}")
+    text = "".join(data.draw(st.lists(st.sampled_from(_PIECES + sources), max_size=16)))
 
     lex = Lexicon(entries=entries)
     got = [(a.start, a.end, a.class_id) for a in annotate(lex, text)]
     assert got == brute_force_annotate(entries, text)
+
+
+@pytest.mark.parametrize("entries, text", [
+    # Alone "ΑΣ" lowers to "ας"; the entry continues from "ασ".
+    ({"ασ.β": "K"}, "ΑΣ.Β"),
+    # "xİ" lowers to "xi\u0307", which ends in a non-word character.
+    ({"xi\u0307 zz": "K"}, "xİ zz"),
+])
+def test_matches_brute_force_where_lowercasing_changes_a_prefix(entries, text):
+    got = [(a.start, a.end, a.class_id) for a in annotate(Lexicon(entries=entries), text)]
+    assert got == brute_force_annotate(entries, text) == [(0, len(text), "K")]

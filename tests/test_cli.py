@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ontodecode
-from ontodecode import cli, metrics
+from ontodecode import cli, metrics, pipeline
 from ontodecode.cli import main
 from ontodecode.lm import LmServer, train_ngram
 
@@ -508,6 +508,38 @@ class TestConfigErrors:
         assert code == 2
         assert json.loads(err)["error"] == {
             "type": "UsageError", "message": "invalid prune configuration: k must be >= 1, got 0"}
+
+    def test_out_of_range_value_exits_before_any_decode(self, fixture_tree, capsys,
+                                                         monkeypatch):
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decode called before the config was checked")
+
+        monkeypatch.setattr(pipeline, "decode", no_decode)
+        code, _, err = run(capsys, *_argv(fixture_tree, "summarize"), "--set", "prune.k=-1")
+        assert code == 2
+        assert json.loads(err)["error"] == {
+            "type": "UsageError", "message": "invalid prune configuration: k must be >= 1, got -1"}
+
+    @pytest.mark.parametrize("argv", [
+        "build-dcf --config {config}",
+        "prune {csr} --dcf {dcf} --config {config}",
+        "score {summary} {notes} --config {config}",
+        "serve-ngram --config {config}",
+    ])
+    def test_jobs_below_one_is_usage_error_in_every_command(self, fixture_tree, capsys,
+                                                            monkeypatch, tmp_path, argv):
+        def no_server(*args, **kwargs):
+            raise AssertionError("server started before --jobs was checked")
+
+        monkeypatch.setattr(cli, "LmServer", no_server)
+        paths = {"config": fixture_tree["config"], "csr": tmp_path / "csr.json",
+                 "dcf": tmp_path / "dcf.json", "summary": tmp_path / "summary.txt",
+                 "notes": fixture_tree["admission"] / "notes.jsonl"}
+        code, _, err = run(capsys, *(part.format(**paths) for part in argv.split()),
+                           "--jobs", "0")
+        assert code == 2
+        assert json.loads(err)["error"] == {
+            "type": "UsageError", "message": "--jobs must be >= 1, got 0"}
 
     def test_domains_default_to_the_corpus_in_first_occurrence_order(self, fixture_tree,
                                                                      capsys, tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -44,6 +45,28 @@ class TestLoad:
     def test_dangling_parent(self):
         with pytest.raises(OntologyError, match="dangling parent"):
             make_ontology([{"id": "B", "label": "b", "parents": ["missing"]}])
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize("document, error", [
+        ('{"classes": [{"id": "A", "label": "a"}]}', None),
+        ("{not json", "not valid JSON"),
+        ('{"classes": [{"id": "B", "label": "b", "parents": ["missing"]}]}', "dangling parent"),
+    ])
+    def test_load_leaves_the_collector_setting_as_it_found_it(self, tmp_path, collecting,
+                                                              document, error):
+        path = tmp_path / "onto.json"
+        path.write_text(document)
+        enabled = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            if error is None:
+                assert len(load_ontology(path)) == 1
+            else:
+                with pytest.raises(OntologyError, match=error):
+                    load_ontology(path)
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if enabled else gc.disable)()
 
     def test_dangling_restriction_value(self):
         with pytest.raises(OntologyError, match="dangling restriction"):
@@ -164,6 +187,18 @@ class TestAncestors:
     def test_unknown_class(self):
         with pytest.raises(UnknownClassError):
             chain_abc().ancestors("nope")
+
+    def test_closure_is_the_classes_and_their_ancestors(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            onto = random_dag(rng, max_nodes=25)
+            ids = rng.sample(sorted(onto.classes), k=rng.randint(0, 4))
+            expected = set(ids).union(*(onto.ancestors(c) for c in ids))
+            assert onto.closure(ids) == expected
+
+    def test_closure_of_unknown_class(self):
+        with pytest.raises(UnknownClassError):
+            chain_abc().closure(["C", "nope"])
 
     def test_antisymmetric_on_random_dags(self):
         rng = random.Random(7)

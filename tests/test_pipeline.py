@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from ontodecode.annotator import annotate, build_lexicon
@@ -20,7 +23,7 @@ from ontodecode.pipeline import (
     verbalize,
 )
 
-from conftest import ConstantLm, make_ontology
+from conftest import ConstantLm, make_ontology, random_dag
 
 
 def small_cfg(**overrides) -> DecodeConfig:
@@ -53,7 +56,43 @@ class RecordingLm(ConstantLm):
         return super().tokenize(text)
 
 
+def per_class_dcf(onto, lex, corpus: list[str], min_occ: int) -> dict[str, float]:
+    """Reference document counts: one ``ancestors`` walk per kept class."""
+    freq: dict[str, float] = {}
+    for doc in corpus:
+        tag_counts = Counter(a.class_id for a in annotate(lex, doc))
+        kept = {c: n for c, n in tag_counts.items() if n >= min_occ}
+        augmented = set(kept)
+        for class_id in kept:
+            augmented |= onto.ancestors(class_id)
+        for class_id in augmented:
+            freq[class_id] = freq.get(class_id, 0.0) + 1.0
+    return freq
+
+
 class TestBuildDcf:
+    @pytest.mark.parametrize("min_occ", [1, 2, 3])
+    def test_document_counts_equal_the_per_class_walks(self, medical_ontology,
+                                                       medical_lexicon, min_occ):
+        corpus = ["fever and aspirin, fever again", "pyrexia pyrexia fever aspirin",
+                  "body temperature above reference range", "nothing here",
+                  "aspirin aspirin aspirin and acetylsalicylic acid"]
+        dcf = build_dcf(medical_ontology, medical_lexicon, DomainSpec("d", corpus),
+                        min_occ=min_occ)
+        assert dcf.freq == per_class_dcf(medical_ontology, medical_lexicon, corpus, min_occ)
+
+    @pytest.mark.parametrize("min_occ", [1, 2, 3])
+    def test_document_counts_equal_the_per_class_walks_on_random_dags(self, min_occ):
+        rng = random.Random(min_occ)
+        for _ in range(10):
+            onto = random_dag(rng, max_nodes=30)
+            lex = build_lexicon(onto)
+            labels = [cls.label for cls in onto.classes.values()]
+            corpus = [" and ".join(rng.choices(labels, k=rng.randint(0, 12)))
+                      for _ in range(rng.randint(1, 6))]
+            dcf = build_dcf(onto, lex, DomainSpec("d", corpus), min_occ=min_occ)
+            assert dcf.freq == per_class_dcf(onto, lex, corpus, min_occ)
+
     def test_document_frequency_with_ancestors(self):
         onto = make_ontology([
             {"id": "Drug", "label": "drug"},

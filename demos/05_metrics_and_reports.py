@@ -2,14 +2,14 @@
 
 Hallucination scores compare concept sets tagged by the same annotator
 used everywhere else. The classifier and entailment models are
-integration points; the bundled keyword/bigram stand-ins make the maths
-observable without any trained weights.
+integration points that the package does not ship; the two toy stand-ins
+below make the maths observable without any trained weights.
 """
+
+import re
 
 from ontodecode import (
     CSR,
-    BigramOverlapEntailment,
-    KeywordOverlapClassifier,
     Ontology,
     adjusted_hallucination_score,
     annotate,
@@ -23,6 +23,31 @@ from ontodecode import (
     rouge2,
     rouge_lsum,
 )
+
+
+def words(text):
+    return re.findall(r"[^\W_]+", text.lower())
+
+
+class KeywordClassifier:
+    """Toy domain classifier: the share of each domain's keywords in the text."""
+
+    def __init__(self, keywords):
+        self.domains, self.keywords = list(keywords), keywords
+
+    def score(self, text):
+        present = set(words(text))
+        return {d: sum(k in present for k in kws) / len(kws)
+                for d, kws in self.keywords.items()}
+
+
+class WordOverlapNli:
+    """Toy entailment model: the share of hypothesis words found in the premise."""
+
+    def entail(self, premise, hypothesis):
+        hypothesis, premise = words(hypothesis), set(words(premise))
+        return sum(w in premise for w in hypothesis) / len(hypothesis) if hypothesis else 0.0
+
 
 onto = Ontology.from_dict({"classes": [
     {"id": "Fever", "label": "fever"},
@@ -49,14 +74,14 @@ print("  rouge1 =", round(rouge1(summary, reference), 4))
 print("  rouge2 =", round(rouge2(summary, reference), 4))
 print("  rougeLsum =", round(rouge_lsum(summary, reference), 4))
 
-classifier = KeywordOverlapClassifier({
+classifier = KeywordClassifier({
     "cardio": ["echocardiogram", "heart"],
     "neuro": ["migraine", "headache"],
 })
 d = domain_score(classifier, [(summary, "neuro")])
 print("\ndomain score of the summary for 'neuro':", d)
 
-nli = BigramOverlapEntailment()
+nli = WordOverlapNli()
 csr = CSR("note-1", {"Fever": "patient has fever", "Aspirin": "aspirin started"})
 labels = {c: onto.label(c) for c in csr.entries}
 print("groundedness:", round(groundedness(nli, notes, csr, labels), 4))

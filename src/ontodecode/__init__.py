@@ -24,8 +24,6 @@ from .lm import (
     train_ngram,
 )
 from .metrics import (
-    BigramOverlapEntailment,
-    KeywordOverlapClassifier,
     adjusted_hallucination_score,
     domain_score,
     evaluation_report,

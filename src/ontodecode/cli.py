@@ -224,9 +224,7 @@ def _config_values(section: str) -> Iterator[None]:
 
 def _decode_config(config: dict) -> DecodeConfig:
     with _config_values("decode"):
-        cfg = DecodeConfig(**config["decode"])
-        cfg.validate()
-    return cfg
+        return DecodeConfig(**config["decode"])
 
 
 def _build_lm(config: dict) -> LmContract:
@@ -280,28 +278,29 @@ def _map_jobs(fn: Callable, items: Iterable, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _corpus_domains(config: dict, notes: list[Note]) -> list[str]:
-    return config["dcf"]["domains"] or list(
-        dict.fromkeys(note.domain for note in notes if note.domain is not None))
-
-
-def _domain_dcfs(config: dict, onto: Ontology, lex) -> list[DCF]:
-    """One raw DCF per domain of the corpus, in domain order."""
+def _domain_specs(config: dict) -> list[DomainSpec]:
+    """Each domain with its corpus documents, in domain order, after every domain check."""
     notes = read_corpus(_existing(_require(config, "corpus_path"), "corpus file"))
-    domains = _corpus_domains(config, notes)
+    domains = config["dcf"]["domains"] or list(
+        dict.fromkeys(note.domain for note in notes if note.domain is not None))
     if len(domains) < 2:
         raise UsageError(
             f"DCF normalization needs at least 2 domains, found {domains or 'none'}"
         )
-    dcf_cfg = config["dcf"]
-    dcfs = []
+    specs = []
     for domain in domains:
         docs = [note.text for note in notes if note.domain == domain]
         if not docs:
             raise UsageError(f"domain {domain!r} has no documents in the corpus")
-        dcfs.append(build_dcf(onto, lex, DomainSpec(name=domain, corpus=docs),
-                              min_occ=dcf_cfg["min_occ"], count=dcf_cfg["count"]))
-    return dcfs
+        specs.append(DomainSpec(name=domain, corpus=docs))
+    return specs
+
+
+def _domain_dcfs(config: dict, onto: Ontology, lex, specs: list[DomainSpec]) -> list[DCF]:
+    """One raw DCF per domain, in domain order."""
+    dcf_cfg = config["dcf"]
+    return [build_dcf(onto, lex, spec, min_occ=dcf_cfg["min_occ"], count=dcf_cfg["count"])
+            for spec in specs]
 
 
 # --------------------------------------------------------------------------
@@ -311,9 +310,10 @@ def _domain_dcfs(config: dict, onto: Ontology, lex) -> list[DCF]:
 
 def cmd_build_dcf(args: argparse.Namespace) -> int:
     config = _checked_config(args)
+    specs = _domain_specs(config)
     onto = _load_ontology(config)
     lex = build_lexicon(onto)
-    raws = _domain_dcfs(config, onto, lex)
+    raws = _domain_dcfs(config, onto, lex, specs)
     out = _output_dir(config)
     for dcf in normalize_dcf(raws):
         path = out / f"dcf_{_slug(dcf.domain)}.json"
@@ -373,6 +373,10 @@ def cmd_prune(args: argparse.Namespace) -> int:
 
 def cmd_summarize(args: argparse.Namespace) -> int:
     config = _checked_config(args)
+    specs = _domain_specs(config)
+    domains = [spec.name for spec in specs]
+    if args.domain not in domains:
+        raise UsageError(f"unknown domain {args.domain!r}; known domains: {domains}")
     onto = _load_ontology(config)
     lex = build_lexicon(onto)
     cfg = _decode_config(config)
@@ -384,11 +388,8 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         raise UsageError(f"admission directory must contain notes.jsonl: {admission_dir}")
     notes = _read_notes(notes_path)
 
-    normalized = normalize_dcf(_domain_dcfs(config, onto, lex))
-    domains = [dcf.domain for dcf in normalized]
-    if args.domain not in domains:
-        raise UsageError(f"unknown domain {args.domain!r}; known domains: {domains}")
-    domain_dcf = next(d for d in normalized if d.domain == args.domain)
+    normalized = normalize_dcf(_domain_dcfs(config, onto, lex, specs))
+    domain_dcf = normalized[domains.index(args.domain)]
 
     def one(note: Note) -> CSR:
         return extract_csr(lm, onto, lex, (note.id, note.text), cfg)

@@ -34,8 +34,10 @@ from .metrics import ngram_counts, overlap_f1, rouge2
 from .ontology import ClassId, Ontology, UnknownClassError
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodeConfig:
+    """Beam-search settings; building one with an invalid value raises ``ValueError``."""
+
     beam_size: int = 10
     num_groups: int = 2
     diversity_penalty: float = 0.5
@@ -48,7 +50,7 @@ class DecodeConfig:
     # to score the beam's full generated text against the note instead.
     similarity_full_beam: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.beam_size < 1:
             raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.num_groups < 1:
@@ -251,10 +253,6 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
     finished beam, or the best unfinished one flagged truncated if nothing
     finished within ``max_tokens``.
     """
-    cfg.validate()
-    if base is not None and base not in onto:
-        raise UnknownClassError(f"unknown class id: {base!r}")
-
     ctx = ScoringContext.build(onto, lex, base, note, cfg)
     prompt_ids = lm.tokenize(prompt)
     per_group = cfg.beam_size // cfg.num_groups

@@ -392,9 +392,7 @@ class LmServer:
     """Threaded HTTP server exposing an ``LmContract`` over the wire protocol."""
 
     def __init__(self, lm: LmContract, host: str = "127.0.0.1", port: int = 0):
-        self.lm = lm
-        handler = _make_handler(lm)
-        self.httpd = ThreadingHTTPServer((host, port), handler)
+        self.httpd = ThreadingHTTPServer((host, port), _make_handler(lm))
 
     @property
     def host(self) -> str:

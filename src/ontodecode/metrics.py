@@ -2,9 +2,9 @@
 
 ROUGE here is deliberately minimal: lowercase alphanumeric tokens, no
 stemming, no stopword lists, so results are identical across platforms.
-Classifier and entailment models are integration points described by the
-protocols below; the bundled implementations are deterministic stand-ins
-for tests, not trained evaluators.
+The domain classifier and the entailment (NLI) model are integration
+points described by the protocols below; the package ships no
+implementation of either, so callers bring their own trained models.
 """
 
 from __future__ import annotations
@@ -206,48 +206,3 @@ def evaluation_report(**scores: float | None) -> dict[str, float | None]:
     if unknown:
         raise ValueError(f"unknown report fields: {sorted(unknown)}")
     return {name: scores[name] for name in REPORT_FIELDS if name in scores}
-
-
-class KeywordOverlapClassifier:
-    """Keyword-hit classifier: test plumbing, not a trained evaluator.
-
-    Each domain is described by a keyword list; the score for a domain is
-    the fraction of its keywords present in the text's token set.
-    """
-
-    def __init__(self, keywords: Mapping[str, Sequence[str]]):
-        if not keywords:
-            raise ValueError("at least one domain required")
-        self.domains = list(keywords)
-        self._keywords = {
-            domain: [normalized for kw in kws for normalized in [" ".join(_tokens(kw))] if normalized]
-            for domain, kws in keywords.items()
-        }
-
-    def score(self, text: str) -> dict[str, float]:
-        padded = " " + " ".join(_tokens(text)) + " "
-        result: dict[str, float] = {}
-        for domain in self.domains:
-            kws = self._keywords[domain]
-            if not kws:
-                result[domain] = 0.0
-                continue
-            hits = sum(1 for kw in kws if f" {kw} " in padded)
-            result[domain] = hits / len(kws)
-        return result
-
-
-class BigramOverlapEntailment:
-    """Bigram-recall entailment stub: test plumbing, not an NLI model.
-
-    Scores the fraction of hypothesis bigrams present in the premise,
-    falling back to unigrams for one-token hypotheses.
-    """
-
-    def entail(self, premise: str, hypothesis: str) -> float:
-        hyp, prem = ngram_counts(hypothesis, 2), ngram_counts(premise, 2)
-        if not (hyp and prem):
-            hyp, prem = ngram_counts(hypothesis, 1), ngram_counts(premise, 1)
-        if not (hyp and prem):
-            return 0.0
-        return _overlap(hyp, prem) / hyp.total()

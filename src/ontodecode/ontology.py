@@ -22,6 +22,10 @@ ClassId = str
 
 RESTRICTION_KINDS = ("and", "or")
 
+# Item checks for JSON arrays; all(map(_IS_STR, v)) is the fastest form.
+_IS_STR = str.__instancecheck__
+_IS_DICT = dict.__instancecheck__
+
 
 class OntologyError(ValueError):
     """Raised when an ontology document fails validation."""
@@ -144,7 +148,7 @@ class Ontology:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Ontology":
-        """Build and validate an ontology from the JSON interchange structure."""
+        """Build and check an ontology from the JSON interchange structure."""
         if not isinstance(data, dict) or "classes" not in data:
             raise OntologyError("document must be an object with a 'classes' array")
         raw_classes = data["classes"]
@@ -161,9 +165,12 @@ class Ontology:
         _check_references(classes)
         _check_acyclic(classes)
 
+        excluded = data.get("excluded_roots", [])
+        if not (isinstance(excluded, list) and all(map(_IS_STR, excluded))):
+            raise OntologyError("'excluded_roots' must be an array of strings")
         onto = cls(classes=classes)
         removed: set[ClassId] = set()
-        for root in data.get("excluded_roots", []):
+        for root in excluded:
             if root not in classes:
                 logger.warning("excluded root %r not present in ontology, skipping", root)
                 continue
@@ -172,7 +179,7 @@ class Ontology:
 
 
 def load_ontology(path: str | Path) -> Ontology:
-    """Load, validate, and prune an ontology from a JSON file.
+    """Load, check, and prune an ontology from a JSON file.
 
     Cyclic garbage collection is paused while the document is parsed and
     built, and the caller's setting is restored afterwards.
@@ -204,26 +211,46 @@ def _parse_class(entry: dict) -> OntologyClass:
     if not label or not isinstance(label, str):
         raise OntologyError(f"class {class_id!r} missing non-empty 'label'")
 
+    synonyms = entry.get("synonyms", [])
+    if not (isinstance(synonyms, list) and all(map(_IS_STR, synonyms))):
+        raise _not_an_array(class_id, "synonyms", "strings")
+    parents = entry.get("parents", [])
+    if not (isinstance(parents, list) and all(map(_IS_STR, parents))):
+        raise _not_an_array(class_id, "parents", "strings")
+    raw_restrictions = entry.get("restrictions", [])
+    if not (isinstance(raw_restrictions, list) and all(map(_IS_DICT, raw_restrictions))):
+        raise _not_an_array(class_id, "restrictions", "objects")
+
     restrictions: list[Restriction] = []
-    for raw in entry.get("restrictions", []):
+    for raw in raw_restrictions:
         kind = str(raw.get("kind", "")).lower()
         if kind not in RESTRICTION_KINDS:
             logger.warning("class %s: ignoring restriction with kind %r", class_id, raw.get("kind"))
             continue
-        pairs = tuple(
-            (str(pair["property"]), str(pair["value"])) for pair in raw.get("pairs", [])
-        )
-        if not pairs:
+        raw_pairs = raw.get("pairs", [])
+        if not (isinstance(raw_pairs, list) and all(map(_is_pair, raw_pairs))):
+            raise _not_an_array(class_id, "pairs", "objects with string 'property' and 'value'")
+        if not raw_pairs:
             raise OntologyError(f"class {class_id!r}: restriction with empty 'pairs'")
+        pairs = tuple((pair["property"], pair["value"]) for pair in raw_pairs)
         restrictions.append(Restriction(kind=kind, pairs=pairs))
 
     return OntologyClass(
         id=class_id,
         label=label,
-        synonyms=tuple(map(str, entry.get("synonyms", []))),
-        parents=tuple(map(str, entry.get("parents", []))),
+        synonyms=tuple(synonyms),
+        parents=tuple(parents),
         restrictions=tuple(restrictions),
     )
+
+
+def _not_an_array(class_id: ClassId, key: str, items: str) -> OntologyError:
+    return OntologyError(f"class {class_id!r}: {key!r} must be an array of {items}")
+
+
+def _is_pair(pair: object) -> bool:
+    return (isinstance(pair, dict) and isinstance(pair.get("property"), str)
+            and isinstance(pair.get("value"), str))
 
 
 def _check_references(classes: dict[ClassId, OntologyClass]) -> None:

@@ -268,9 +268,14 @@ def read_corpus(path: str | Path) -> list[Note]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
         if "id" not in obj or "text" not in obj:
             raise ValueError(f"{path}:{lineno}: note object needs 'id' and 'text'")
-        domain = obj.get("domain")
-        notes.append(Note(id=str(obj["id"]), text=str(obj["text"]),
-                          domain=None if domain is None else str(domain)))
+        text, domain = obj["text"], obj.get("domain")
+        if not isinstance(text, str):
+            raise ValueError(f"{path}:{lineno}: 'text' must be a string")
+        if not (domain is None or isinstance(domain, str)):
+            raise ValueError(f"{path}:{lineno}: 'domain' must be a string or null")
+        notes.append(Note(id=str(obj["id"]), text=text, domain=domain))
     return notes

@@ -40,4 +40,4 @@ def test_generated_configs_load(perfbench, tmp_path):
     for name in ("config_ngram.json", "config_remote.json"):
         argv = ["build-dcf", "--config", str(tmp_path / name)]
         config = cli.load_config(cli.build_parser().parse_args(argv))
-        DecodeConfig(**config["decode"]).validate()
+        DecodeConfig(**config["decode"])

@@ -13,7 +13,7 @@ from ontodecode import cli, metrics, pipeline
 from ontodecode.cli import main
 from ontodecode.lm import LmServer, train_ngram
 
-from conftest import ADMISSION_NOTES, NoCandidateLm
+from conftest import ADMISSION_NOTES, NoCandidateLm, build_fixture_tree
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -84,15 +84,6 @@ class TestExtract:
                            "--config", str(fixture_tree["config"]))
         assert code == 2
         assert "no notes" in json.loads(err)["error"]["message"]
-
-    def test_jobs_parallel_matches_serial(self, fixture_tree, capsys):
-        notes = fixture_tree["admission"] / "notes.jsonl"
-        run(capsys, "extract", str(notes), "--config", str(fixture_tree["config"]))
-        serial = (fixture_tree["output"] / "csr_note-1.json").read_bytes()
-        run(capsys, "extract", str(notes), "--config", str(fixture_tree["config"]),
-            "--jobs", "4")
-        parallel = (fixture_tree["output"] / "csr_note-1.json").read_bytes()
-        assert serial == parallel
 
     def test_backend_without_candidates_fails_the_note(self, fixture_tree, capsys):
         # The server lists no next token, so the remote reply's token list is empty.
@@ -183,36 +174,24 @@ class TestSummarize:
         message = json.loads(err)["error"]["message"]
         assert "cardio" in message and "neuro" in message
 
-    @pytest.mark.parametrize("jobs", ["1", "3"])
-    def test_remote_backend_writes_the_in_process_bytes(self, fixture_tree, capsys, jobs):
-        config = str(fixture_tree["config"])
-        admission = str(fixture_tree["admission"])
-        outputs = [fixture_tree["output"] / name
-                   for name in ("structured_summary.json", "summary.txt")]
-        code, _, err = run(capsys, "summarize", admission, "--config", config,
-                           "--domain", "cardio")
-        assert code == 0, err
-        in_process = [path.read_bytes() for path in outputs]
-        for path in outputs:
-            path.unlink()
+    @pytest.mark.parametrize("argv, message", [
+        ("summarize {admission} --domain podiatry",
+         "unknown domain 'podiatry'; known domains: ['cardio', 'neuro']"),
+        ('build-dcf --set dcf.domains=["cardio"]',
+         "DCF normalization needs at least 2 domains, found ['cardio']"),
+        ('summarize {admission} --domain cardio --set dcf.domains=["cardio","ortho"]',
+         "domain 'ortho' has no documents in the corpus"),
+    ])
+    def test_domain_checks_run_before_the_ontology_loads(self, fixture_tree, capsys,
+                                                         monkeypatch, argv, message):
+        def no_load(*args, **kwargs):
+            raise AssertionError("ontology loaded before the domains were checked")
 
-        lines = fixture_tree["lm_corpus"].read_text(encoding="utf-8").splitlines()
-        lm = train_ngram([line for line in lines if line.strip()], 2)
-        server = LmServer(lm)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            code, _, err = run(capsys, "summarize", admission, "--config", config,
-                               "--domain", "cardio", "--jobs", jobs,
-                               "--set", "lm.kind=remote",
-                               "--set", f"lm.endpoint={server.endpoint}",
-                               "--set", f"lm.top_k={lm.vocab_size}")
-        finally:
-            server.shutdown()
-            thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert code == 0, err
-        assert [path.read_bytes() for path in outputs] == in_process
+        monkeypatch.setattr(cli, "load_ontology", no_load)
+        argv = argv.format(admission=fixture_tree["admission"]).split()
+        code, _, err = run(capsys, *argv, "--config", str(fixture_tree["config"]))
+        assert code == 2
+        assert json.loads(err)["error"] == {"type": "UsageError", "message": message}
 
     def test_missing_notes_jsonl(self, fixture_tree, capsys, tmp_path):
         code, _, err = run(capsys, "summarize", str(tmp_path),
@@ -466,6 +445,8 @@ class TestConfigErrors:
          "invalid lm configuration: order must be >= 1, got 0"),
         ("summarize {admission} --domain cardio --config {config} --set lm.order=-2",
          "invalid lm configuration: order must be >= 1, got -2"),
+        ("summarize {admission} --domain cardio --config {config} --set decode.window=0",
+         "invalid decode configuration: window must be >= 1, got 0"),
         ("summarize {admission} --domain cardio --config {config} --set dcf.min_occ=0",
          "invalid dcf configuration: min_occ must be >= 1, got 0"),
         ("summarize {admission} --domain cardio --config {config} --set prune.k=-1",
@@ -564,6 +545,34 @@ class TestConfigErrors:
         assert outputs[0] == outputs[1]
 
 
+_OUTPUTS = {
+    "build-dcf": ["dcf_average.json", "dcf_cardio.json", "dcf_neuro.json"],
+    "extract": ["csr_note-1.json", "csr_note-2.json"],
+    "summarize": ["structured_summary.json", "summary.txt"],
+}
+
+
+@pytest.fixture(scope="module")
+def served_fixture_lm(tmp_path_factory):
+    """A fixture tree, and the flags that point it at its n-gram LM on loopback.
+
+    ``top_k`` is the vocabulary size, so every reply lists every token.
+    """
+    tree = build_fixture_tree(tmp_path_factory.mktemp("served"))
+    lines = tree["lm_corpus"].read_text(encoding="utf-8").splitlines()
+    lm = train_ngram([line for line in lines if line.strip()], 2)
+    server = LmServer(lm)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield tree, ["--set", "lm.kind=remote", "--set", f"lm.endpoint={server.endpoint}",
+                     "--set", f"lm.top_k={lm.vocab_size}"]
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
 class TestRepeatedRuns:
     def test_overrides_leave_defaults_untouched(self, fixture_tree, capsys):
         before = copy.deepcopy(cli.DEFAULTS)
@@ -576,14 +585,8 @@ class TestRepeatedRuns:
         assert code == 0
         assert cli.DEFAULTS == before
 
-    @pytest.mark.parametrize("command, files", [
-        pytest.param("build-dcf", ["dcf_average.json", "dcf_cardio.json", "dcf_neuro.json"],
-                     id="build-dcf"),
-        pytest.param("extract", ["csr_note-1.json", "csr_note-2.json"], id="extract"),
-        pytest.param("summarize", ["structured_summary.json", "summary.txt"], id="summarize"),
-    ])
-    def test_output_bytes_independent_of_hash_seed(self, fixture_tree, tmp_path,
-                                                   command, files):
+    @pytest.mark.parametrize("command", ["build-dcf", "extract", "summarize"])
+    def test_output_bytes_independent_of_hash_seed(self, fixture_tree, tmp_path, command):
         src = str(Path(ontodecode.__file__).resolve().parents[1])
         outputs = []
         for seed in ("1", "2", "3"):
@@ -596,8 +599,29 @@ class TestRepeatedRuns:
                 env=env, check=True, capture_output=True, timeout=60,
             )
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert list(outputs[0]) == files
+        assert list(outputs[0]) == _OUTPUTS[command]
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("command", ["extract", "summarize"])
+    @pytest.mark.parametrize("jobs, backend", [
+        ("3", "in-process"), ("1", "served"), ("3", "served"),
+    ])
+    def test_determinism_matrix(self, served_fixture_lm, tmp_path, capsys,
+                                command, jobs, backend):
+        """Each cell writes the bytes of an in-process ``--jobs 1`` run."""
+        tree, remote = served_fixture_lm
+
+        def outputs(out: Path, *extra: str) -> dict[str, bytes]:
+            code, _, err = run(capsys, *_argv(tree, command),
+                               "--set", f"output_dir={out}", *extra)
+            assert code == 0, err
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        reference = outputs(tmp_path / "reference")
+        assert list(reference) == _OUTPUTS[command]
+        cell = outputs(tmp_path / "cell", "--jobs", jobs,
+                       *(remote if backend == "served" else ()))
+        assert cell == reference
 
     def test_second_in_process_summarize_writes_the_same_bytes(self, fixture_tree, tmp_path,
                                                                capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -42,7 +43,12 @@ class TestConfig:
         cfg = DecodeConfig()
         assert (cfg.beam_size, cfg.num_groups, cfg.window) == (10, 2, 10)
         assert (cfg.h_bf, cfg.p_bf, cfg.s_bf) == (3.0, 10.0, 10.0)
-        cfg.validate()
+
+    def test_frozen(self):
+        cfg = DecodeConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.window = 0  # type: ignore[misc]
+        assert cfg.window == 10
 
     @pytest.mark.parametrize("overrides", [
         {"beam_size": 0},
@@ -55,7 +61,7 @@ class TestConfig:
     ])
     def test_rejects_bad_values(self, overrides):
         with pytest.raises(ValueError):
-            _config(**overrides).validate()
+            _config(**overrides)
 
 
 class TestScores:
@@ -375,7 +381,7 @@ class TestDecode:
 
     def test_unknown_base(self, medical_ontology, medical_lexicon):
         lm = ConstantLm(["q"], "q")
-        with pytest.raises(UnknownClassError):
+        with pytest.raises(UnknownClassError, match="unknown class id: 'ghost'"):
             decode(lm, "q", medical_ontology, medical_lexicon, "ghost", "", _config())
 
     def test_diversity_penalty_separates_groups(self, medical_ontology, medical_lexicon):

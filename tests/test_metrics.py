@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontodecode.metrics import (
-    BigramOverlapEntailment,
-    KeywordOverlapClassifier,
     adjusted_hallucination_score,
     domain_score,
     evaluation_report,
@@ -236,22 +234,3 @@ class TestReport:
         with pytest.raises(ValueError, match="unknown report fields"):
             evaluation_report(bleu=1.0)
 
-
-class TestStubs:
-    def test_keyword_classifier(self):
-        clf = KeywordOverlapClassifier({
-            "cardio": ["heart", "ecg"],
-            "neuro": ["migraine"],
-        })
-        scores = clf.score("patient heart rate stable, no migraine")
-        assert scores["cardio"] == 0.5
-        assert scores["neuro"] == 1.0
-        assert clf.domains == ["cardio", "neuro"]
-
-    def test_bigram_entailment_bounds(self):
-        nli = BigramOverlapEntailment()
-        assert nli.entail("the cat sat", "the cat sat") == 1.0
-        assert nli.entail("the cat sat", "dog ran") == 0.0
-        assert nli.entail("anything", "") == 0.0
-        single = nli.entail("fever present today", "fever")
-        assert 0.0 <= single <= 1.0

@@ -115,6 +115,36 @@ class TestLoad:
         assert onto.restriction_classes("B") == set()
         assert "ignoring restriction" in caplog.text
 
+    @pytest.mark.parametrize("key, value, items", [
+        ("synonyms", "pyrexia", "strings"),
+        ("synonyms", ["pyrexia", 5], "strings"),
+        ("synonyms", None, "strings"),
+        ("parents", "B", "strings"),
+        ("parents", [["B"]], "strings"),
+        ("restrictions", {"kind": "and"}, "objects"),
+        ("restrictions", ["and"], "objects"),
+    ])
+    def test_non_array_field_is_rejected_not_split(self, key, value, items):
+        with pytest.raises(OntologyError, match=f"class 'A': '{key}' must be an array of {items}"):
+            make_ontology([{"id": "B", "label": "b"}, {"id": "A", "label": "fever", key: value}])
+
+    @pytest.mark.parametrize("pair", [
+        {"value": "B"},
+        {"property": "p"},
+        {"property": "p", "value": 5},
+        ["p", "B"],
+    ])
+    def test_malformed_restriction_pair_names_the_class(self, pair):
+        with pytest.raises(OntologyError, match="class 'A': 'pairs' must be an array of objects"):
+            make_ontology([
+                {"id": "B", "label": "b"},
+                {"id": "A", "label": "a", "restrictions": [{"kind": "and", "pairs": [pair]}]},
+            ])
+
+    def test_excluded_roots_must_be_an_array_of_strings(self):
+        with pytest.raises(OntologyError, match="'excluded_roots' must be an array of strings"):
+            Ontology.from_dict({"classes": [{"id": "A", "label": "a"}], "excluded_roots": "A"})
+
     def test_excluded_roots_removes_branch(self):
         onto = make_ontology(
             [

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -364,6 +365,20 @@ class TestCorpusIo:
         path = tmp_path / "notes.jsonl"
         path.write_text('{"id": "a"}\n')
         with pytest.raises(ValueError, match="needs 'id' and 'text'"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("5", "expected a JSON object, got int"),
+        ("null", "expected a JSON object, got NoneType"),
+        ('["a", "t"]', "expected a JSON object, got list"),
+        ('{"id": 1, "text": null}', "'text' must be a string"),
+        ('{"id": 1, "text": 7}', "'text' must be a string"),
+        ('{"id": 1, "text": "t", "domain": 3}', "'domain' must be a string or null"),
+    ])
+    def test_read_corpus_rejects_values_it_would_coerce(self, tmp_path, line, message):
+        path = tmp_path / "notes.jsonl"
+        path.write_text('{"id": "a", "text": "t1"}\n' + line + "\n")
+        with pytest.raises(ValueError, match=f"notes.jsonl:2: {re.escape(message)}"):
             read_corpus(path)
 
     def test_csr_roundtrip(self, medical_ontology):

@@ -49,7 +49,6 @@ def dense_next_logits(lm, prefix):
 
 def reference_decode(lm, next_logits, prompt, onto, lex, base, note, cfg):
     """``decode`` with the full sort over every (beam, token) pair."""
-    cfg.validate()
     if base is not None and base not in onto:
         raise UnknownClassError(f"unknown class id: {base!r}")
 

@@ -5,9 +5,8 @@ domain analysis, ``extract`` for per-note CSRs, ``prune``/``summarize``
 for domain-adapted output, ``score`` for the evaluation report, and
 ``serve-ngram`` to expose the reference model over the wire protocol.
 Configuration lives in one JSON file; every value can be overridden with
-``--set dotted.key=value`` or the dedicated flags. Failures print a
-machine-readable error object on stderr: usage and configuration problems
-exit 2, runtime failures exit 1.
+``--set dotted.key=value``. Failures print a machine-readable error object
+on stderr: usage and configuration problems exit 2, runtime failures exit 1.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import contextlib
 import copy
 import dataclasses
 import functools
+import inspect
 import json
 import logging
 import os
@@ -62,24 +62,13 @@ DEFAULTS: dict[str, Any] = {
         "top_k": 50,
     },
     "decode": {f.name: f.default for f in dataclasses.fields(DecodeConfig)},
-    "dcf": {"min_occ": 1, "domains": [], "count": "documents"},
+    "dcf": {"domains": [], **{name: p.default for name, p in
+                              inspect.signature(build_dcf).parameters.items()
+                              if p.default is not p.empty}},
     "prune": {"k": 30, "alpha": 2},
     "task_instruction": "Summarize these clinical notes in a short text.",
     "output_dir": "out",
 }
-
-
-# (flag, dotted config key, type, help): each dedicated flag sets one value.
-_FLAGS: tuple[tuple[str, str, type, str], ...] = (
-    ("--k", "prune.k", int, "pruning: number of top classes kept"),
-    ("--alpha", "prune.alpha", int, "pruning: hops expanded below kept classes"),
-    ("--window", "decode.window", int, "decoder: generation window size"),
-    ("--beam-size", "decode.beam_size", int, "decoder: beam size"),
-    ("--groups", "decode.num_groups", int, "decoder: number of beam groups"),
-    ("--h-bf", "decode.h_bf", float, "hierarchy boost factor"),
-    ("--p-bf", "decode.p_bf", float, "property boost factor"),
-    ("--s-bf", "decode.s_bf", float, "similarity boost factor"),
-)
 
 
 class UsageError(ValueError):
@@ -109,7 +98,7 @@ def _nested(dotted: str, value: Any) -> dict:
 
 
 def load_config(args: argparse.Namespace) -> dict:
-    """``DEFAULTS``, then the config file, each ``--set`` in order, then the flags.
+    """``DEFAULTS``, then the config file, then each ``--set`` in order.
 
     Every layer deep-merges onto the ones before it, so an object value
     replaces only the keys it names.
@@ -134,11 +123,6 @@ def load_config(args: argparse.Namespace) -> dict:
         except json.JSONDecodeError:
             value = raw
         layers.append(_nested(key, value))
-
-    for _, key, _, _ in _FLAGS:
-        value = getattr(args, key)
-        if value is not None:
-            layers.append(_nested(key, value))
     config = functools.reduce(_deep_merge, layers, copy.deepcopy(DEFAULTS))
     _check_shape(config, DEFAULTS)
     return config
@@ -289,6 +273,8 @@ def _domain_specs(config: dict) -> list[DomainSpec]:
         )
     specs = []
     for domain in domains:
+        if any(spec.name == domain for spec in specs):
+            raise UsageError(f"domain {domain!r} is listed more than once in 'dcf.domains'")
         docs = [note.text for note in notes if note.domain == domain]
         if not docs:
             raise UsageError(f"domain {domain!r} has no documents in the corpus")
@@ -485,8 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override a config value by dotted key")
     common.add_argument("--jobs", type=int, default=1,
                         help="parallel worker limit for per-note work")
-    for flag, key, kind, help_text in _FLAGS:
-        common.add_argument(flag, dest=key, type=kind, help=help_text)
 
     sub = parser.add_subparsers(dest="command", required=True)
 

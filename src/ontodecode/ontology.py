@@ -57,7 +57,7 @@ class OntologyClass:
 
 @dataclass
 class Ontology:
-    """Immutable class graph with hierarchy and restriction queries."""
+    """Immutable class graph with hierarchy and restriction queries, checked when built."""
 
     classes: dict[ClassId, OntologyClass]
     _children: dict[ClassId, tuple[ClassId, ...]] = field(init=False, repr=False)
@@ -162,13 +162,10 @@ class Ontology:
                 raise OntologyError(f"duplicate class id: {parsed.id!r}")
             classes[parsed.id] = parsed
 
-        _check_references(classes)
-        _check_acyclic(classes)
-
+        onto = cls(classes=classes)
         excluded = data.get("excluded_roots", [])
         if not (isinstance(excluded, list) and all(map(_IS_STR, excluded))):
             raise OntologyError("'excluded_roots' must be an array of strings")
-        onto = cls(classes=classes)
         removed: set[ClassId] = set()
         for root in excluded:
             if root not in classes:
@@ -253,50 +250,39 @@ def _is_pair(pair: object) -> bool:
             and isinstance(pair.get("value"), str))
 
 
-def _check_references(classes: dict[ClassId, OntologyClass]) -> None:
-    for cls in classes.values():
-        for parent in cls.parents:
-            if parent not in classes:
-                raise OntologyError(f"class {cls.id!r}: dangling parent reference {parent!r}")
-        for restriction in cls.restrictions:
-            for value in restriction.value_ids():
-                if value not in classes:
-                    raise OntologyError(
-                        f"class {cls.id!r}: dangling restriction value {value!r}"
-                    )
-
-
-def _check_acyclic(classes: dict[ClassId, OntologyClass]) -> None:
-    # Iterative three-color DFS over parent edges.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {cid: WHITE for cid in classes}
-    for start in classes:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[ClassId, int]] = [(start, 0)]
-        color[start] = GRAY
-        while stack:
-            node, idx = stack[-1]
-            parents = classes[node].parents
-            if idx < len(parents):
-                stack[-1] = (node, idx + 1)
-                nxt = parents[idx]
-                if color[nxt] == GRAY:
-                    raise OntologyError(f"cycle detected through class {nxt!r}")
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
-            else:
-                color[node] = BLACK
-                stack.pop()
-
-
 def _children_map(classes: dict[ClassId, OntologyClass]) -> dict[ClassId, tuple[ClassId, ...]]:
-    """Parent id -> child ids, in class order; every class has an entry."""
+    """Parent id -> child ids, in class order; every class has an entry.
+
+    The walk that links the classes checks every parent reference and
+    restriction value; then Kahn's algorithm checks for a cycle.
+    """
     children: dict[ClassId, list[ClassId]] = {cid: [] for cid in classes}
     for cls in classes.values():
         for parent in cls.parents:
+            if parent not in children:
+                raise OntologyError(f"class {cls.id!r}: dangling parent reference {parent!r}")
             children[parent].append(cls.id)
+        for restriction in cls.restrictions:
+            for _, value in restriction.pairs:
+                if value not in children:
+                    raise OntologyError(f"class {cls.id!r}: dangling restriction value {value!r}")
+
+    # A class is placed once every parent edge into it is.
+    waiting = {cid: len(cls.parents) for cid, cls in classes.items()}
+    placed = [cid for cid, count in waiting.items() if not count]
+    for cid in placed:
+        for child in children[cid]:
+            waiting[child] -= 1
+            if not waiting[child]:
+                placed.append(child)
+    if len(placed) < len(classes):
+        # Each unplaced class has an unplaced parent: following them repeats a class on a cycle.
+        cid = next(cid for cid, count in waiting.items() if count)
+        seen: set[ClassId] = set()
+        while cid not in seen:
+            seen.add(cid)
+            cid = next(parent for parent in classes[cid].parents if waiting[parent])
+        raise OntologyError(f"cycle detected through class {cid!r}")
     return {cid: tuple(kids) for cid, kids in children.items()}
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +42,17 @@ class PartialCsrError(RuntimeError):
         self.cause = cause
 
 
+_KINDS = {str: "a string", list: "an array", dict: "an object"}
+
+
+def _field(obj: object, key: str, kind: type, owner: str):
+    """``obj[key]`` if ``obj`` is a JSON object and the value is of ``kind``."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind):
+        raise ValueError(f"{owner} {key!r} must be {_KINDS[kind]}")
+    return value
+
+
 @dataclass
 class DCF:
     """Per-domain class-to-frequency map.
@@ -58,8 +70,12 @@ class DCF:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DCF":
-        return cls(domain=str(data["domain"]),
-                   freq={str(c): float(v) for c, v in data["freq"].items()})
+        domain, freq = _field(data, "domain", str, "DCF"), _field(data, "freq", dict, "DCF")
+        # abs(v) <= max is False for NaN, the infinities and ints too large for a float.
+        if not all(isinstance(c, str) and isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and abs(v) <= sys.float_info.max for c, v in freq.items()):
+            raise ValueError("DCF 'freq' must map class ids to finite numbers")
+        return cls(domain=domain, freq={c: float(v) for c, v in freq.items()})
 
 
 @dataclass
@@ -80,10 +96,10 @@ class CSR:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CSR":
-        return cls(
-            note_id=str(data["note_id"]),
-            entries={str(e["class"]): str(e["value"]) for e in data["entries"]},
-        )
+        note_id = _field(data, "note_id", str, "CSR")
+        entries = {_field(e, "class", str, "CSR entry"): _field(e, "value", str, "CSR entry")
+                   for e in _field(data, "entries", list, "CSR")}
+        return cls(note_id=note_id, entries=entries)
 
 
 @dataclass
@@ -272,10 +288,13 @@ def read_corpus(path: str | Path) -> list[Note]:
             raise ValueError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
         if "id" not in obj or "text" not in obj:
             raise ValueError(f"{path}:{lineno}: note object needs 'id' and 'text'")
-        text, domain = obj["text"], obj.get("domain")
+        note_id, text, domain = obj["id"], obj["text"], obj.get("domain")
+        if not (isinstance(note_id, str) or isinstance(note_id, int)
+                and not isinstance(note_id, bool)):
+            raise ValueError(f"{path}:{lineno}: 'id' must be a string or an integer")
         if not isinstance(text, str):
             raise ValueError(f"{path}:{lineno}: 'text' must be a string")
         if not (domain is None or isinstance(domain, str)):
             raise ValueError(f"{path}:{lineno}: 'domain' must be a string or null")
-        notes.append(Note(id=str(obj["id"]), text=text, domain=domain))
+        notes.append(Note(id=str(note_id), text=text, domain=domain))
     return notes

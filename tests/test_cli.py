@@ -120,6 +120,21 @@ class TestPrune:
         pruned = json.loads((fixture_tree["output"] / "csr_note-1_pruned.json").read_text())
         assert [e["class"] for e in pruned["entries"]] == ["Aspirin"]
 
+    @pytest.mark.parametrize("dcf, message", [
+        ({"domain": None, "freq": {}}, "DCF 'domain' must be a string"),
+        ({"domain": "cardio", "freq": {"Aspirin": "nan"}},
+         "DCF 'freq' must map class ids to finite numbers"),
+    ])
+    def test_bad_dcf_file_is_an_error(self, fixture_tree, capsys, tmp_path, dcf, message):
+        csr, bad = tmp_path / "csr.json", tmp_path / "bad.json"
+        csr.write_text(json.dumps({"note_id": "n", "entries": []}))
+        bad.write_text(json.dumps(dcf))
+        code, out, err = run(capsys, "prune", str(csr), "--dcf", str(bad),
+                             "--config", str(fixture_tree["config"]))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+
     def test_set_section_object_keeps_other_keys(self, fixture_tree, capsys):
         config = str(fixture_tree["config"])
         notes = fixture_tree["admission"] / "notes.jsonl"
@@ -129,14 +144,14 @@ class TestPrune:
         dcf_path = fixture_tree["output"] / "dcf_cardio.json"
         pruned_path = fixture_tree["output"] / "csr_note-1_pruned.json"
         code, _, _ = run(capsys, "prune", str(csr_path), "--dcf", str(dcf_path),
-                         "--config", config, "--k", "3")
+                         "--config", config, "--set", "prune.k=3")
         assert code == 0
-        by_flag = pruned_path.read_bytes()
+        by_key = pruned_path.read_bytes()
         pruned_path.unlink()
         code, _, err = run(capsys, "prune", str(csr_path), "--dcf", str(dcf_path),
                            "--config", config, "--set", 'prune={"k": 3}')
         assert code == 0, err
-        assert pruned_path.read_bytes() == by_flag
+        assert pruned_path.read_bytes() == by_key
 
 
 class TestSummarize:
@@ -181,6 +196,10 @@ class TestSummarize:
          "DCF normalization needs at least 2 domains, found ['cardio']"),
         ('summarize {admission} --domain cardio --set dcf.domains=["cardio","ortho"]',
          "domain 'ortho' has no documents in the corpus"),
+        ('build-dcf --set dcf.domains=["cardio","neuro","neuro"]',
+         "domain 'neuro' is listed more than once in 'dcf.domains'"),
+        ('summarize {admission} --domain cardio --set dcf.domains=["cardio","neuro","cardio"]',
+         "domain 'cardio' is listed more than once in 'dcf.domains'"),
     ])
     def test_domain_checks_run_before_the_ontology_loads(self, fixture_tree, capsys,
                                                          monkeypatch, argv, message):
@@ -189,9 +208,11 @@ class TestSummarize:
 
         monkeypatch.setattr(cli, "load_ontology", no_load)
         argv = argv.format(admission=fixture_tree["admission"]).split()
-        code, _, err = run(capsys, *argv, "--config", str(fixture_tree["config"]))
+        code, out, err = run(capsys, *argv, "--config", str(fixture_tree["config"]))
         assert code == 2
         assert json.loads(err)["error"] == {"type": "UsageError", "message": message}
+        assert out == ""
+        assert not fixture_tree["output"].exists()
 
     def test_missing_notes_jsonl(self, fixture_tree, capsys, tmp_path):
         code, _, err = run(capsys, "summarize", str(tmp_path),
@@ -268,8 +289,9 @@ class TestCommon:
     def test_set_overrides_decode_and_prune(self, fixture_tree, capsys):
         code, _, _ = run(capsys, "summarize", str(fixture_tree["admission"]),
                          "--config", str(fixture_tree["config"]),
-                         "--domain", "cardio", "--k", "1", "--alpha", "0",
-                         "--beam-size", "2", "--groups", "1", "--window", "3")
+                         "--domain", "cardio", "--set", "prune.k=1", "--set", "prune.alpha=0",
+                         "--set", "decode.beam_size=2", "--set", "decode.num_groups=1",
+                         "--set", "decode.window=3")
         assert code == 0
         structured = json.loads(
             (fixture_tree["output"] / "structured_summary.json").read_text()
@@ -281,7 +303,8 @@ class TestCommon:
     def test_invalid_beam_group_combo(self, fixture_tree, capsys):
         code, _, err = run(capsys, "summarize", str(fixture_tree["admission"]),
                            "--config", str(fixture_tree["config"]),
-                           "--domain", "cardio", "--beam-size", "5", "--groups", "2")
+                           "--domain", "cardio", "--set", "decode.beam_size=5",
+                           "--set", "decode.num_groups=2")
         assert code == 2
         assert "divisible" in json.loads(err)["error"]["message"]
 
@@ -308,8 +331,6 @@ class TestLoadConfig:
         ({"window": 4, "beam_size": 4},
          ["--set", 'decode={"window": 5, "h_bf": 1.5}', "--set", "decode.window=6"],
          {"window": 6, "beam_size": 4, "h_bf": 1.5}),
-        ({"window": 4}, ["--window", "7", "--set", "decode.window=5"], {"window": 7}),
-        (None, ["--set", 'decode={"window": 5}', "--window", "7"], {"window": 7}),
     ])
     def test_precedence(self, tmp_path, file_decode, argv, expected):
         argv = list(argv)
@@ -363,20 +384,13 @@ class TestLoadConfig:
     def test_value_of_the_default_type_is_accepted(self, setting, section, key, value):
         assert _load("--set", setting) == _defaults_with(section, {key: value})
 
-    @pytest.mark.parametrize("flag, raw, section, key, value", [
-        ("--k", "3", "prune", "k", 3),
-        ("--alpha", "1", "prune", "alpha", 1),
-        ("--window", "4", "decode", "window", 4),
-        ("--beam-size", "6", "decode", "beam_size", 6),
-        ("--groups", "3", "decode", "num_groups", 3),
-        ("--h-bf", "2", "decode", "h_bf", 2.0),
-        ("--p-bf", "2", "decode", "p_bf", 2.0),
-        ("--s-bf", "2", "decode", "s_bf", 2.0),
-    ])
-    def test_flag_sets_its_key(self, flag, raw, section, key, value):
-        config = _load(flag, raw)
-        assert type(config[section][key]) is type(value)
-        assert config == _defaults_with(section, {key: value})
+    @pytest.mark.parametrize("flag", ["--k", "--alpha", "--window", "--beam-size", "--groups",
+                                      "--h-bf", "--p-bf", "--s-bf"])
+    def test_set_is_the_only_way_to_set_a_value(self, fixture_tree, capsys, flag):
+        with pytest.raises(SystemExit) as caught:
+            main([*_argv(fixture_tree, "extract"), flag, "3"])
+        assert caught.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 class TestMissingInputs:
@@ -485,7 +499,7 @@ class TestConfigErrors:
         run(capsys, *_argv(fixture_tree, "extract"))
         code, _, err = run(capsys, "prune", str(fixture_tree["output"] / "csr_note-1.json"),
                            "--dcf", str(fixture_tree["output"] / "dcf_cardio.json"),
-                           "--config", config, "--k", "0")
+                           "--config", config, "--set", "prune.k=0")
         assert code == 2
         assert json.loads(err)["error"] == {
             "type": "UsageError", "message": "invalid prune configuration: k must be >= 1, got 0"}
@@ -578,7 +592,7 @@ class TestRepeatedRuns:
         before = copy.deepcopy(cli.DEFAULTS)
         # No config file: the overrides are applied, then the missing
         # ontology path ends the run with a usage error.
-        code, _, _ = run(capsys, "build-dcf", "--window", "3", "--set", "prune.k=7")
+        code, _, _ = run(capsys, "build-dcf", "--set", "decode.window=3", "--set", "prune.k=7")
         assert code == 2
         assert cli.DEFAULTS == before
         code, _, _ = run(capsys, "build-dcf", "--config", str(fixture_tree["config"]))

@@ -84,8 +84,39 @@ class TestLoad:
             ])
 
     def test_self_parent(self):
-        with pytest.raises(OntologyError, match="cycle"):
+        with pytest.raises(OntologyError, match="^cycle detected through class 'A'$"):
             make_ontology([{"id": "A", "label": "a", "parents": ["A"]}])
+
+    def test_cycle_error_names_a_class_on_the_cycle(self):
+        # B and C are each other's parent; A hangs below the cycle.
+        with pytest.raises(OntologyError, match="^cycle detected through class '[BC]'$"):
+            make_ontology([
+                {"id": "A", "label": "a", "parents": ["B"]},
+                {"id": "B", "label": "b", "parents": ["C"]},
+                {"id": "C", "label": "c", "parents": ["B"]},
+            ])
+
+    def test_random_cycle_error_names_a_class_that_reaches_itself(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            parents = {f"n{i}": [f"n{p}" for p in rng.sample(range(i), min(i, rng.randint(0, 3)))]
+                       for i in range(rng.randint(1, 15))}
+            # A parent edge from an ancestor-or-self of ``below`` down to it closes a cycle.
+            below = rng.choice(list(parents))
+            above = [below]
+            for cid in above:
+                above += [p for p in parents[cid] if p not in above]
+            parents[rng.choice(above)].append(below)
+            order = list(parents)
+            rng.shuffle(order)
+            with pytest.raises(OntologyError, match="^cycle detected through class ") as caught:
+                make_ontology([{"id": cid, "label": cid, "parents": parents[cid]}
+                               for cid in order])
+            named = str(caught.value).split()[-1].strip("'")
+            reached = list(parents[named])
+            for cid in reached:
+                reached += [p for p in parents[cid] if p not in reached]
+            assert named in reached
 
     def test_duplicate_id(self):
         with pytest.raises(OntologyError, match="duplicate"):

@@ -355,10 +355,11 @@ class TestCorpusIo:
             '{"id": "a", "domain": "cardio", "text": "t1"}\n'
             "\n"
             '{"id": "b", "domain": null, "text": "t2"}\n'
+            '{"id": -7, "text": "t3"}\n'
         )
         notes = read_corpus(path)
         assert [(n.id, n.domain, n.text) for n in notes] == [
-            ("a", "cardio", "t1"), ("b", None, "t2"),
+            ("a", "cardio", "t1"), ("b", None, "t2"), ("-7", None, "t3"),
         ]
 
     def test_read_corpus_rejects_bad_lines(self, tmp_path):
@@ -374,6 +375,11 @@ class TestCorpusIo:
         ('{"id": 1, "text": null}', "'text' must be a string"),
         ('{"id": 1, "text": 7}', "'text' must be a string"),
         ('{"id": 1, "text": "t", "domain": 3}', "'domain' must be a string or null"),
+        ('{"id": null, "text": "t"}', "'id' must be a string or an integer"),
+        ('{"id": {"a": 1}, "text": "t"}', "'id' must be a string or an integer"),
+        ('{"id": true, "text": "t"}', "'id' must be a string or an integer"),
+        ('{"id": 1.5, "text": "t"}', "'id' must be a string or an integer"),
+        ('{"id": ["a"], "text": "t"}', "'id' must be a string or an integer"),
     ])
     def test_read_corpus_rejects_values_it_would_coerce(self, tmp_path, line, message):
         path = tmp_path / "notes.jsonl"
@@ -390,3 +396,45 @@ class TestCorpusIo:
     def test_dcf_roundtrip(self):
         dcf = DCF("cardio", {"Heart": 2.0})
         assert DCF.from_dict(dcf.to_dict()) == dcf
+        assert type(DCF.from_dict({"domain": "cardio", "freq": {"Heart": 2}}).freq["Heart"]) is float
+
+    @pytest.mark.parametrize("data, message", [
+        ([], "DCF 'domain' must be a string"),
+        ({"freq": {}}, "DCF 'domain' must be a string"),
+        ({"domain": None, "freq": {}}, "DCF 'domain' must be a string"),
+        ({"domain": 3, "freq": {}}, "DCF 'domain' must be a string"),
+        ({"domain": "d"}, "DCF 'freq' must be an object"),
+        ({"domain": "d", "freq": [["Heart", 1.0]]}, "DCF 'freq' must be an object"),
+        ({"domain": "d", "freq": {"Heart": True}}, "DCF 'freq' must map class ids to finite"),
+        ({"domain": "d", "freq": {"Heart": "nan"}}, "DCF 'freq' must map class ids to finite"),
+        ({"domain": "d", "freq": {"Heart": "2"}}, "DCF 'freq' must map class ids to finite"),
+        ({"domain": "d", "freq": {"Heart": None}}, "DCF 'freq' must map class ids to finite"),
+        ({"domain": "d", "freq": {"Heart": float("nan")}},
+         "DCF 'freq' must map class ids to finite"),
+        ({"domain": "d", "freq": {"Heart": float("-inf")}},
+         "DCF 'freq' must map class ids to finite"),
+        ({"domain": "d", "freq": {"Heart": 10 ** 400}}, "DCF 'freq' must map class ids to finite"),
+        ({"domain": "d", "freq": {7: 1.0}}, "DCF 'freq' must map class ids to finite"),
+    ])
+    def test_dcf_from_dict_rejects_values_it_would_coerce(self, data, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            DCF.from_dict(data)
+
+    @pytest.mark.parametrize("data, message", [
+        ([], "CSR 'note_id' must be a string"),
+        ({"entries": []}, "CSR 'note_id' must be a string"),
+        ({"note_id": 1, "entries": []}, "CSR 'note_id' must be a string"),
+        ({"note_id": "n"}, "CSR 'entries' must be an array"),
+        ({"note_id": "n", "entries": {"Fever": "hot"}}, "CSR 'entries' must be an array"),
+        ({"note_id": "n", "entries": [["Fever", "hot"]]}, "CSR entry 'class' must be a string"),
+        ({"note_id": "n", "entries": [{"value": "hot"}]}, "CSR entry 'class' must be a string"),
+        ({"note_id": "n", "entries": [{"class": None, "value": "hot"}]},
+         "CSR entry 'class' must be a string"),
+        ({"note_id": "n", "entries": [{"class": "Fever", "value": None}]},
+         "CSR entry 'value' must be a string"),
+        ({"note_id": "n", "entries": [{"class": "Fever", "value": 3}]},
+         "CSR entry 'value' must be a string"),
+    ])
+    def test_csr_from_dict_rejects_values_it_would_coerce(self, data, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CSR.from_dict(data)

@@ -29,7 +29,8 @@ from typing import Any, Callable, Iterable, Iterator
 from . import metrics
 from .annotator import annotate, build_lexicon
 from .decoder import DecodeConfig
-from .lm import LmContract, LmServer, NgramLm, RemoteLm, check_order, check_top_k, train_ngram
+from .lm import (LmContract, LmServer, NgramLm, RemoteLm, check_order, check_top_k, is_integer,
+                 train_ngram)
 from .ontology import Ontology, load_ontology
 from .pipeline import (
     CSR,
@@ -128,11 +129,14 @@ def load_config(args: argparse.Namespace) -> dict:
     return config
 
 
-# By the type of a default: the types its value may have, and their name.
-_LEAF_TYPES: dict[type, tuple[tuple[type, ...], str]] = {
-    type(None): ((type(None), str), "a string or null"), bool: ((bool,), "true or false"),
-    int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string"),
-    list: ((list,), "a list of strings"),
+# By the type of a default: the check its value must pass, and its name.
+_LEAF_TYPES: dict[type, tuple[Callable[[Any], bool], str]] = {
+    type(None): (lambda v: v is None or isinstance(v, str), "a string or null"),
+    bool: (lambda v: isinstance(v, bool), "true or false"), int: (is_integer, "an integer"),
+    float: (lambda v: is_integer(v) or isinstance(v, float), "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+           "a list of strings"),
 }
 
 
@@ -140,6 +144,7 @@ def _check_shape(config: dict, defaults: dict, prefix: str = "") -> None:
     """Every key is one ``defaults`` holds, and every value has its default's type.
 
     A bool is neither an int nor a float, and a list holds strings only.
+    Ranges, finiteness among them, are checked by ``_checked_config``.
     """
     for key, value in config.items():
         name = prefix + key
@@ -151,9 +156,8 @@ def _check_shape(config: dict, defaults: dict, prefix: str = "") -> None:
                 raise UsageError(f"config value {name!r} must be an object")
             _check_shape(value, default, name + ".")
             continue
-        types, what = _LEAF_TYPES[type(default)]
-        if (not isinstance(value, types) or isinstance(value, bool) != isinstance(default, bool)
-                or isinstance(value, list) and not all(isinstance(v, str) for v in value)):
+        check, what = _LEAF_TYPES[type(default)]
+        if not check(value):
             raise UsageError(f"config value {name!r} must be {what}, got {json.dumps(value)}")
 
 
@@ -165,7 +169,8 @@ def _checked_config(args: argparse.Namespace) -> dict:
     config = load_config(args)
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    _decode_config(config)
+    with _config_values("decode"):
+        DecodeConfig(**config["decode"])
     with _config_values("lm"):
         check_order(config["lm"]["order"])
         check_top_k(config["lm"]["top_k"])
@@ -181,6 +186,14 @@ def _existing(path: str | Path, what: str) -> Path:
     if not path.exists():
         raise UsageError(f"{what} not found: {path}")
     return path
+
+
+def _read_json(path: Path, what: str) -> Any:
+    """The JSON value in ``path``; a file that is not UTF-8 JSON is an error that names it."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def _read_notes(path: Path) -> list[Note]:
@@ -206,11 +219,6 @@ def _config_values(section: str) -> Iterator[None]:
         raise UsageError(f"invalid {section} configuration: {exc}") from exc
 
 
-def _decode_config(config: dict) -> DecodeConfig:
-    with _config_values("decode"):
-        return DecodeConfig(**config["decode"])
-
-
 def _build_lm(config: dict) -> LmContract:
     lm_config = config["lm"]
     kind = lm_config["kind"]
@@ -222,14 +230,12 @@ def _build_lm(config: dict) -> LmContract:
         lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
         if not lines:
             raise UsageError(f"lm corpus {path} is empty")
-        with _config_values("lm"):
-            return train_ngram(lines, lm_config["order"])
+        return train_ngram(lines, lm_config["order"])
     if kind == "remote":
         endpoint = lm_config["endpoint"]
         if not endpoint:
             raise UsageError("config value 'lm.endpoint' is required for the remote backend")
-        with _config_values("lm"):
-            return RemoteLm(endpoint, top_k=lm_config["top_k"])
+        return RemoteLm(endpoint, top_k=lm_config["top_k"])
     raise UsageError(f"unknown lm kind {kind!r}; expected 'ngram' or 'remote'")
 
 
@@ -315,7 +321,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     config = _checked_config(args)
     onto = _load_ontology(config)
     lex = build_lexicon(onto)
-    cfg = _decode_config(config)
+    cfg = DecodeConfig(**config["decode"])
     lm = _build_lm(config)
 
     notes = _read_notes(_existing(args.note_file, "note file"))
@@ -343,13 +349,13 @@ def cmd_prune(args: argparse.Namespace) -> int:
     config = _checked_config(args)
     onto = _load_ontology(config)
     dcf_path = _existing(args.dcf, "DCF file")
-    dcf = DCF.from_dict(json.loads(dcf_path.read_text(encoding="utf-8")))
+    dcf = DCF.from_dict(_read_json(dcf_path, "DCF file"))
     k, alpha = config["prune"]["k"], config["prune"]["alpha"]
 
     out = _output_dir(config)
     for csr_file in args.csr_files:
         path = _existing(csr_file, "CSR file")
-        csr = CSR.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        csr = CSR.from_dict(_read_json(path, "CSR file"))
         pruned = prune_csr(csr, dcf, onto, k=k, alpha=alpha)
         target = out / f"{path.stem}_pruned.json"
         _write_json(target, pruned.to_dict(onto))
@@ -365,7 +371,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         raise UsageError(f"unknown domain {args.domain!r}; known domains: {domains}")
     onto = _load_ontology(config)
     lex = build_lexicon(onto)
-    cfg = _decode_config(config)
+    cfg = DecodeConfig(**config["decode"])
     lm = _build_lm(config)
 
     admission_dir = Path(args.admission_dir)

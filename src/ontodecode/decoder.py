@@ -29,7 +29,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .annotator import Lexicon, annotate
-from .lm import LmContract, LmStep, TokenId
+from .lm import LmContract, LmStep, TokenId, is_finite_number
 from .metrics import ngram_counts, overlap_f1, rouge2
 from .ontology import ClassId, Ontology, UnknownClassError
 
@@ -65,8 +65,9 @@ class DecodeConfig:
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
         for name in ("diversity_penalty", "h_bf", "p_bf", "s_bf"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (is_finite_number(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
 
 @dataclass

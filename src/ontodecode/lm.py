@@ -17,6 +17,7 @@ import itertools
 import json
 import logging
 import math
+import sys
 import threading
 import time
 from collections import Counter
@@ -181,12 +182,14 @@ def train_ngram(corpus: list[str], n: int) -> NgramLm:
     # Each gram is its context ids plus the token id, counted in corpus
     # order by Counter.update in C: first the grams that start a document
     # with a context shorter than n - 1, then every full n-gram. Documents
-    # are split one at a time, so that no more than one is held as ids.
+    # are split one at a time, so that no more than one is held as ids. A
+    # document shorter than n has no full n-gram, so its n slices are skipped.
     grams: Counter[tuple[TokenId, ...]] = Counter()
     for doc in corpus:
         sequence = list(map(ids.__getitem__, doc.split()))
         grams.update(tuple(sequence[:t + 1]) for t in range(min(n - 1, len(sequence))))
-        grams.update(zip(*(sequence[i:] for i in range(n))))
+        if n <= len(sequence):
+            grams.update(zip(*(sequence[i:] for i in range(n))))
 
     # Folding the unique grams keeps each context's and each follower's
     # first-occurrence order, since a Counter keeps first-insertion order.
@@ -206,17 +209,20 @@ def train_ngram(corpus: list[str], n: int) -> NgramLm:
 # --------------------------------------------------------------------------
 
 _TRANSIENT = (requests.exceptions.ConnectionError, requests.exceptions.Timeout)
+_FLOAT_MAX = sys.float_info.max
 
 
-def _integer(value: object) -> bool:
+def is_integer(value: object) -> bool:
     """A JSON integer: neither ``true`` nor ``1.7``."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _finite_number(value: object) -> bool:
-    """A JSON number other than NaN and the infinities; ``true`` is no number."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+def is_finite_number(value: object) -> bool:
+    """A JSON number a float holds: not NaN, an infinity, a too large int or ``true``."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    # An int compares with a float exactly, so a too large one fails without overflow.
+    return is_integer(value) and abs(value) <= _FLOAT_MAX
 
 
 class RemoteLm(LmContract):
@@ -285,7 +291,7 @@ class RemoteLm(LmContract):
         ids = data.get("ids")
         if not isinstance(ids, list):
             raise LmProtocolError("tokenize response missing 'ids' list")
-        if not all(_integer(i) for i in ids):
+        if not all(is_integer(i) for i in ids):
             raise LmProtocolError("tokenize response holds an id that is not an integer")
         return ids
 
@@ -326,7 +332,7 @@ class RemoteLm(LmContract):
             raise LmProtocolError(
                 f"logits response has {got} steps for {len(suffixes)} suffixes")
         meta = (data["eos_id"], data["vocab_size"])
-        if not all(_integer(value) for value in meta):
+        if not all(is_integer(value) for value in meta):
             raise LmProtocolError(f"eos_id and vocab_size must be integers, got {meta}")
         vocab_size = meta[1]
         parsed = [self._parse_step(step, vocab_size) for step in steps]
@@ -347,9 +353,9 @@ class RemoteLm(LmContract):
             if not isinstance(entry, dict) or "id" not in entry or "logprob" not in entry:
                 raise LmProtocolError(f"malformed token entry: {entry!r}")
             tid, logprob = entry["id"], entry["logprob"]
-            if not _finite_number(logprob):
+            if not is_finite_number(logprob):
                 raise LmProtocolError(f"non-finite logprob for token {tid!r}")
-            if not (_integer(tid) and 0 <= tid < vocab_size):
+            if not (is_integer(tid) and 0 <= tid < vocab_size):
                 raise LmProtocolError(f"token id {tid!r} outside [0, {vocab_size})")
             if tid in logits:
                 raise LmProtocolError(f"token id {tid} listed twice")
@@ -361,7 +367,7 @@ class RemoteLm(LmContract):
         floor = step["floor"]
         if floor is None:
             return LmStep(logits)
-        if not _finite_number(floor):
+        if not is_finite_number(floor):
             raise LmProtocolError(f"floor must be a finite number or null, got {floor!r}")
         if self.top_k < vocab_size:
             raise LmProtocolError(
@@ -443,7 +449,7 @@ def _wire_step(step: LmStep, top_k: int, vocab_size: int) -> dict:
 
 def _id_list(value: object, what: str, vocab_size: int) -> list[TokenId]:
     if not (isinstance(value, list)
-            and all(_integer(i) and 0 <= i < vocab_size for i in value)):
+            and all(is_integer(i) and 0 <= i < vocab_size for i in value)):
         raise ValueError(f"{what} must be a list of token ids in [0, {vocab_size})")
     return value
 
@@ -488,7 +494,7 @@ def _make_handler(lm: LmContract):
                     prefix = _id_list(payload["prefix"], "prefix", vocab_size)
                     suffixes = _id_lists(payload["suffixes"], "suffixes", vocab_size)
                     top_k = payload["top_k"]
-                    if not (_integer(top_k) and top_k >= 1):
+                    if not (is_integer(top_k) and top_k >= 1):
                         raise ValueError(f"top_k must be an integer >= 1, got {top_k!r}")
                     self._reply(200, {
                         "steps": [_wire_step(step, top_k, vocab_size)

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import heapq
 import json
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 from .annotator import Lexicon, annotate
 from .decoder import DecodeConfig, decode
-from .lm import LmContract
+from .lm import LmContract, is_finite_number, is_integer
 from .metrics import NOT_EXTRACTED
 from .ontology import ClassId, Ontology
 
@@ -71,9 +70,7 @@ class DCF:
     @classmethod
     def from_dict(cls, data: dict) -> "DCF":
         domain, freq = _field(data, "domain", str, "DCF"), _field(data, "freq", dict, "DCF")
-        # abs(v) <= max is False for NaN, the infinities and ints too large for a float.
-        if not all(isinstance(c, str) and isinstance(v, (int, float)) and not isinstance(v, bool)
-                   and abs(v) <= sys.float_info.max for c, v in freq.items()):
+        if not all(isinstance(c, str) and is_finite_number(v) for c, v in freq.items()):
             raise ValueError("DCF 'freq' must map class ids to finite numbers")
         return cls(domain=domain, freq={c: float(v) for c, v in freq.items()})
 
@@ -97,8 +94,12 @@ class CSR:
     @classmethod
     def from_dict(cls, data: dict) -> "CSR":
         note_id = _field(data, "note_id", str, "CSR")
-        entries = {_field(e, "class", str, "CSR entry"): _field(e, "value", str, "CSR entry")
-                   for e in _field(data, "entries", list, "CSR")}
+        entries: dict[ClassId, str] = {}
+        for entry in _field(data, "entries", list, "CSR"):
+            class_id = _field(entry, "class", str, "CSR entry")
+            if class_id in entries:
+                raise ValueError(f"CSR class {class_id!r} is listed twice")
+            entries[class_id] = _field(entry, "value", str, "CSR entry")
         return cls(note_id=note_id, entries=entries)
 
 
@@ -289,8 +290,7 @@ def read_corpus(path: str | Path) -> list[Note]:
         if "id" not in obj or "text" not in obj:
             raise ValueError(f"{path}:{lineno}: note object needs 'id' and 'text'")
         note_id, text, domain = obj["id"], obj["text"], obj.get("domain")
-        if not (isinstance(note_id, str) or isinstance(note_id, int)
-                and not isinstance(note_id, bool)):
+        if not (isinstance(note_id, str) or is_integer(note_id)):
             raise ValueError(f"{path}:{lineno}: 'id' must be a string or an integer")
         if not isinstance(text, str):
             raise ValueError(f"{path}:{lineno}: 'text' must be a string")

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from ontodecode import cli
-from ontodecode.decoder import DecodeConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -39,5 +38,4 @@ def test_generated_configs_load(perfbench, tmp_path):
     gen.gen_summarize(0, tmp_path)
     for name in ("config_ngram.json", "config_remote.json"):
         argv = ["build-dcf", "--config", str(tmp_path / name)]
-        config = cli.load_config(cli.build_parser().parse_args(argv))
-        DecodeConfig(**config["decode"])
+        cli._checked_config(cli.build_parser().parse_args(argv))

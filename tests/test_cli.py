@@ -1,5 +1,7 @@
 import copy
+import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -134,6 +136,23 @@ class TestPrune:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("what", ["DCF file", "CSR file"])
+    @pytest.mark.parametrize("content", [b"{decode: 1}", b"\xff"])
+    def test_file_that_is_not_json_is_named(self, fixture_tree, capsys, tmp_path, what,
+                                            content):
+        files = {"CSR file": tmp_path / "csr.json", "DCF file": tmp_path / "dcf.json"}
+        files["CSR file"].write_text(json.dumps({"note_id": "n", "entries": []}))
+        files["DCF file"].write_text(json.dumps({"domain": "cardio", "freq": {}}))
+        files[what].write_bytes(content)
+        code, out, err = run(capsys, "prune", str(files["CSR file"]),
+                             "--dcf", str(files["DCF file"]),
+                             "--config", str(fixture_tree["config"]))
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"{what} {files[what]} is not valid JSON: ")
 
     def test_set_section_object_keeps_other_keys(self, fixture_tree, capsys):
         config = str(fixture_tree["config"])
@@ -438,6 +457,34 @@ class TestMissingInputs:
             "type": "UsageError", "message": f"{empty} contains no notes"}
 
 
+def _leaves(tree: dict, prefix: str = "") -> list[str]:
+    """The dotted key of every leaf under ``tree``."""
+    return [name for key, value in tree.items()
+            for name in (_leaves(value, f"{prefix}{key}.") if isinstance(value, dict)
+                         else [prefix + key])]
+
+
+# JSON from outside: the non-finite numbers, an integer too large for a
+# float, the edges of the ranges, and a value of every other JSON type.
+_OUTSIDE_VALUES = ["NaN", "Infinity", "-Infinity", "1e400",
+                   pytest.param("1" + "0" * 400, id="10**400"), "-1", "0", "true", "null",
+                   '"x"', "[]", "{}"]
+
+
+@pytest.mark.parametrize("key", _leaves(cli.DEFAULTS))
+@pytest.mark.parametrize("raw", _OUTSIDE_VALUES)
+def test_checked_config_keeps_only_finite_numbers(key, raw):
+    args = cli.build_parser().parse_args(["build-dcf", "--set", f"{key}={raw}"])
+    try:
+        config = cli._checked_config(args)
+    except cli.UsageError:
+        return
+    value, default = (functools.reduce(dict.__getitem__, key.split("."), tree)
+                      for tree in (config, cli.DEFAULTS))
+    if isinstance(value, float) or isinstance(default, float):
+        assert math.isfinite(float(value))
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("argv, message", [
         ("build-dcf --config {not_json}", "config file {not_json} is not valid JSON: "),
@@ -461,6 +508,12 @@ class TestConfigErrors:
          "invalid lm configuration: order must be >= 1, got -2"),
         ("summarize {admission} --domain cardio --config {config} --set decode.window=0",
          "invalid decode configuration: window must be >= 1, got 0"),
+        ("summarize {admission} --domain cardio --config {config} --set decode.h_bf=NaN",
+         "invalid decode configuration: h_bf must be a finite number >= 0, got nan"),
+        ("summarize {admission} --domain cardio --config {config} --set decode.h_bf=Infinity",
+         "invalid decode configuration: h_bf must be a finite number >= 0, got inf"),
+        ("summarize {admission} --domain cardio --config {config} --set decode.h_bf=1e400",
+         "invalid decode configuration: h_bf must be a finite number >= 0, got inf"),
         ("summarize {admission} --domain cardio --config {config} --set dcf.min_occ=0",
          "invalid dcf configuration: min_occ must be >= 1, got 0"),
         ("summarize {admission} --domain cardio --config {config} --set prune.k=-1",

@@ -63,6 +63,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             _config(**overrides)
 
+    @pytest.mark.parametrize("name", ["diversity_penalty", "h_bf", "p_bf", "s_bf"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10 ** 400, id="10**400")])
+    def test_rejects_non_finite_boosts(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0, got "):
+            DecodeConfig(**{name: value})
+
 
 class TestScores:
     def test_hierarchy_empty_window(self, medical_ontology):

@@ -67,6 +67,15 @@ class TestTrainNgram:
             ((1, 0), [(2, 1)]), ((1,), [(2, 1)])]
         assert all(type(followers) is Counter for followers in lm._follower_counts.values())
 
+    def test_order_beyond_every_document_counts_as_the_next_order_up(self):
+        # No document has a full n-gram, so only the short contexts count,
+        # in time and memory that do not grow with the order.
+        corpus = ["a b a c", "b c", "a a b c a"]
+        longest = max(len(doc.split()) for doc in corpus)
+        huge, fitted = train_ngram(corpus, 10 ** 9), train_ngram(corpus, longest + 1)
+        assert list(huge._context_totals.items()) == list(fitted._context_totals.items())
+        assert list(huge._follower_counts.items()) == list(fitted._follower_counts.items())
+
     def test_bigram_conditional(self):
         lm = train_ngram(["a b", "a c"], 2)
         # vocab = {a, b, c} + EOS -> V = 4; count(a)=2, count(a b)=1
@@ -431,9 +440,10 @@ class TestRemoteValidation:
         assert step == LmStep({4: -1.0}, -2.5, 10)
         assert not step.truncated
 
-    def test_nan_logprob_rejected(self):
-        body = ('{"steps": [{"tokens": [{"id": 4, "logprob": NaN}], "floor": null}], '
-                '"eos_id": 9, "vocab_size": 10}')
+    @pytest.mark.parametrize("logprob", ["NaN", pytest.param("1" + "0" * 400, id="10**400")])
+    def test_nan_logprob_rejected(self, logprob):
+        body = ('{"steps": [{"tokens": [{"id": 4, "logprob": %s}], "floor": null}], '
+                '"eos_id": 9, "vocab_size": 10}' % logprob)
         with pytest.raises(LmProtocolError, match="non-finite"):
             self.run_against(body)
 
@@ -560,7 +570,8 @@ class TestRemoteValidation:
         with pytest.raises(LmProtocolError, match="not an integer"):
             self.run_against(json.dumps(body), call=lambda remote: remote.tokenize("a"))
 
-    @pytest.mark.parametrize("floor", ['"-1.0"', "true", "[]", "NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("floor", ['"-1.0"', "true", "[]", "NaN", "Infinity", "-Infinity",
+                                       pytest.param("1" + "0" * 400, id="10**400")])
     def test_floor_not_a_finite_number_rejected(self, floor):
         body = ('{"steps": [{"tokens": [], "floor": %s}], "eos_id": 9, "vocab_size": 10}'
                 % floor)

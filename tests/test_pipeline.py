@@ -434,6 +434,9 @@ class TestCorpusIo:
          "CSR entry 'value' must be a string"),
         ({"note_id": "n", "entries": [{"class": "Fever", "value": 3}]},
          "CSR entry 'value' must be a string"),
+        ({"note_id": "n", "entries": [{"class": "Aspirin", "value": "one"},
+                                      {"class": "Aspirin", "value": "two"}]},
+         "CSR class 'Aspirin' is listed twice"),
     ])
     def test_csr_from_dict_rejects_values_it_would_coerce(self, data, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

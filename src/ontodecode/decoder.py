@@ -13,10 +13,12 @@ beams are detokenized, annotated, and scored:
 and the log-softmax of H+P+S across the group's beams is added to each
 beam's cumulative log-probability, steering subsequent pruning. All three
 scores define 0/0 as 0. Neither ROUGE-2 reference changes within one
-decode, so a ``ScoringContext`` counts their bigrams once per decode. How the window adjustment combines with token
-likelihood is a policy choice: adding the log-softmax keeps both terms in
-the log domain, and the policy lives entirely in ``window_rescore`` so
-alternatives are a one-line change.
+decode, so a ``ScoringContext`` counts their bigrams once per decode.
+
+How the window adjustment combines with token likelihood is a policy
+choice: adding the log-softmax keeps both terms in the log domain, and
+the policy lives entirely in ``window_rescore`` so alternatives are a
+one-line change.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from collections import Counter
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .annotator import Lexicon, annotate
@@ -51,8 +53,8 @@ class DecodeConfig:
     similarity_full_beam: bool = False
 
     def __post_init__(self) -> None:
-        if self.beam_size < 1:
-            raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
+        if not 1 <= self.beam_size <= sys.maxsize:
+            raise ValueError(f"beam_size must be in [1, {sys.maxsize}], got {self.beam_size}")
         if self.num_groups < 1:
             raise ValueError(f"num_groups must be >= 1, got {self.num_groups}")
         if self.beam_size % self.num_groups != 0:
@@ -197,14 +199,9 @@ def window_rescore(lm: LmContract, beams: list[BeamState],
     n = len(participants)
     full_texts: list[str | None] = texts[n:] or [None] * n
 
-    raws: list[float] = []
-    partial: list[tuple[float, float, float]] = []
-    for window_text, full_text in zip(texts, full_texts):
-        h, p, s = ctx.scores(window_text, full_text)
-        partial.append((h, p, s))
-        raws.append(h + p + s)
-
-    adjusted = _log_softmax(raws)
+    partial = [ctx.scores(window_text, full_text)
+               for window_text, full_text in zip(texts, full_texts)]
+    adjusted = _log_softmax([h + p + s for h, p, s in partial])
     by_beam: dict[int, ScoreBreakdown] = {}
     for beam, (h, p, s), bs in zip(participants, partial, adjusted):
         beam.cum_logprob += bs
@@ -213,33 +210,24 @@ def window_rescore(lm: LmContract, beams: list[BeamState],
     return [by_beam.get(id(b)) for b in beams]
 
 
-def _rank(candidate: tuple[float, int, int, BeamState]) -> tuple[float, int, int]:
-    score, idx, token, _ = candidate
-    return -score, idx, token
-
-
-def _expansions(step: LmStep, beam: BeamState, idx: int, chosen_counts: Counter[TokenId],
-                diversity_penalty: float,
-                per_group: int) -> Iterator[tuple[float, int, int, BeamState]]:
-    """Candidates that can reach this beam's top ``per_group``.
+def _candidates(step: LmStep, beam: BeamState, idx: int, chosen_counts: Counter[TokenId],
+                penalty: float, per_group: int) -> list[tuple[float, int, TokenId]]:
+    """``(-score, idx, token)`` for each token that can reach this beam's top ``per_group``.
 
     These are the listed tokens and, when the floor is finite, every
     penalized token plus the unpenalized ``step.floor_ids``; any
     other floor id loses to each of those on the token tie-break (see
-    ``LmStep``).
+    ``LmStep``). The tuples order as the decoder ranks: score descending,
+    then beam, then token.
     """
-    listed, floor = step.logits, step.floor
-    tokens: Iterable[TokenId] = listed
+    cum, listed, floor, count = beam.cum_logprob, step.logits, step.floor, chosen_counts.get
+    candidates = [(-(cum + logprob - penalty * count(t, 0)), idx, t)
+                  for t, logprob in listed.items()]
     if not step.truncated:
-        tokens = itertools.chain(
-            listed,
-            (t for t in chosen_counts if t not in listed),
-            step.floor_ids(per_group, skip=chosen_counts),
-        )
-    for token in tokens:
-        score = (beam.cum_logprob + listed.get(token, floor)
-                 - diversity_penalty * chosen_counts[token])
-        yield score, idx, token, beam
+        unlisted = itertools.chain((t for t in chosen_counts if t not in listed),
+                                   step.floor_ids(per_group, skip=chosen_counts))
+        candidates += [(-(cum + floor - penalty * count(t, 0)), idx, t) for t in unlisted]
+    return candidates
 
 
 def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
@@ -274,22 +262,22 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
             if all(b.finished for b in beams):
                 continue
             # Finished beams hold their slot and compete by score.
-            candidates = itertools.chain.from_iterable(
-                [(beam.cum_logprob, idx, -1, beam)] if beam.finished
-                else _expansions(next(steps), beam, idx,
-                                 chosen_counts, cfg.diversity_penalty, per_group)
-                for idx, beam in enumerate(beams)
-            )
+            candidates: list[tuple[float, int, TokenId]] = []
+            for idx, beam in enumerate(beams):
+                candidates += ([(-beam.cum_logprob, idx, -1)] if beam.finished
+                               else _candidates(next(steps), beam, idx, chosen_counts,
+                                                cfg.diversity_penalty, per_group))
 
             new_beams: list[BeamState] = []
             group_chosen: list[TokenId] = []
-            for score, _, token, parent in heapq.nsmallest(per_group, candidates, key=_rank):
+            for neg_score, idx, token in heapq.nsmallest(per_group, candidates):
+                parent = beams[idx]
                 if token == -1:
                     new_beams.append(parent)
                     continue
                 new_beams.append(BeamState(
                     tokens=parent.tokens + [token],
-                    cum_logprob=score,
+                    cum_logprob=-neg_score,
                     window_start=parent.window_start,
                     finished=(token == eos),
                 ))

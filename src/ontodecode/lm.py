@@ -50,11 +50,11 @@ class LmStep:
     when the ids left out are impossible (remote top-k replies, hand-built
     LMs, which leave ``vocab_size`` at 0).
 
-    The decoder expands a beam over the listed ids, the ids that carry a
-    diversity penalty, and ``floor_ids(per_group)`` of the rest. That is
-    exact: every other id scores the same as those floor ids and loses the
-    (score, beam, token) tie-break to each of them, so it cannot be in the
-    beam's top ``per_group``.
+    The decoder's ``_candidates`` expands a beam over the listed ids, the
+    ids that carry a diversity penalty, and ``floor_ids(per_group)`` of the
+    rest. That is exact: every other id scores the same as those floor ids
+    and loses the (score, beam, token) tie-break to each of them, so it
+    cannot be in the beam's top ``per_group``.
     """
 
     logits: dict[TokenId, float]
@@ -113,6 +113,9 @@ class NgramLm(LmContract):
     token, so the exponentiated logits sum to exactly one. EOS is
     predictable but never a counted event: it holds only its add-one
     pseudo-count, so observed continuations always outweigh stopping.
+    Each context the model holds keeps its listed log-probs and floor once
+    computed, so that memo never outgrows the model; every call returns a
+    fresh ``logits`` dict.
     """
 
     def __init__(self, words: list[str], order: int,
@@ -124,6 +127,8 @@ class NgramLm(LmContract):
         self._follower_counts = follower_counts
         self.eos = len(words)
         self.vocab_size = len(words) + 1
+        # context -> (listed, floor); threads racing on an entry assign equal tuples.
+        self._steps: dict[tuple[TokenId, ...], tuple[dict[TokenId, float], float]] = {}
 
     def tokenize(self, text: str) -> list[TokenId]:
         ids = []
@@ -148,11 +153,16 @@ class NgramLm(LmContract):
 
     def next_logits(self, prefix: list[TokenId]) -> LmStep:
         context = self._context(prefix)
-        total = self._context_totals.get(context, 0)
-        followers = self._follower_counts.get(context, {})
-        denom = total + self.vocab_size
-        listed = {tid: math.log((n + 1) / denom) for tid, n in followers.items()}
-        return LmStep(listed, math.log(1 / denom), self.vocab_size)
+        memo = self._steps.get(context)
+        if memo is None:
+            denom = self._context_totals.get(context, 0) + self.vocab_size
+            followers = self._follower_counts.get(context, {})
+            memo = ({tid: math.log((n + 1) / denom) for tid, n in followers.items()},
+                    math.log(1 / denom))
+            if context in self._follower_counts:
+                self._steps[context] = memo
+        listed, floor = memo
+        return LmStep(dict(listed), floor, self.vocab_size)
 
 
 def check_order(n: int) -> None:

@@ -96,14 +96,15 @@ def dense(step: LmStep) -> dict[int, float]:
     return {t: step.logits.get(t, step.floor) for t in range(step.vocab_size)} | step.logits
 
 
-def random_ngram_lm(rng: random.Random, max_words: int = 4,
-                    max_lines: int = 5, max_line_len: int = 6) -> NgramLm:
+def random_ngram_lm(rng: random.Random, max_words: int = 4, max_lines: int = 5,
+                    max_line_len: int = 6, order: int | None = None) -> NgramLm:
+    """A small random model; of a random order from 1 to 3 unless ``order`` is given."""
     words = [f"w{i}" for i in range(rng.randint(2, max_words))]
     lines = [
         " ".join(rng.choice(words) for _ in range(rng.randint(1, max_line_len)))
         for _ in range(rng.randint(2, max_lines))
     ]
-    return train_ngram(lines, rng.randint(1, 3))
+    return train_ngram(lines, order or rng.randint(1, 3))
 
 
 def random_dag(rng: random.Random, max_nodes: int = 50) -> Ontology:

@@ -508,6 +508,9 @@ class TestConfigErrors:
          "invalid lm configuration: order must be >= 1, got -2"),
         ("summarize {admission} --domain cardio --config {config} --set decode.window=0",
          "invalid decode configuration: window must be >= 1, got 0"),
+        ("extract {notes} --config {config} --set decode.beam_size=2" + "0" * 30,
+         f"invalid decode configuration: beam_size must be in [1, {sys.maxsize}], "
+         "got 2" + "0" * 30),
         ("summarize {admission} --domain cardio --config {config} --set decode.h_bf=NaN",
          "invalid decode configuration: h_bf must be a finite number >= 0, got nan"),
         ("summarize {admission} --domain cardio --config {config} --set decode.h_bf=Infinity",

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 
@@ -62,6 +63,17 @@ class TestConfig:
     def test_rejects_bad_values(self, overrides):
         with pytest.raises(ValueError):
             _config(**overrides)
+
+    def test_beam_size_at_most_sys_maxsize(self, medical_ontology, medical_lexicon):
+        # Above sys.maxsize decode would fail inside itertools.islice instead.
+        with pytest.raises(ValueError, match=r"^beam_size must be in \[1, \d+\], got 2\d{30}$"):
+            DecodeConfig(beam_size=2 * 10 ** 30, num_groups=2)
+        lm = random_ngram_lm(random.Random(3))
+        wide = decode(lm, "", medical_ontology, medical_lexicon, None, "",
+                      _config(beam_size=sys.maxsize, max_tokens=3))
+        every = decode(lm, "", medical_ontology, medical_lexicon, None, "",
+                       _config(beam_size=lm.vocab_size ** 3, max_tokens=3))
+        assert (wide.tokens, wide.score.hex()) == (every.tokens, every.score.hex())
 
     @pytest.mark.parametrize("name", ["diversity_penalty", "h_bf", "p_bf", "s_bf"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,

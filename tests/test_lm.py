@@ -4,6 +4,7 @@ import logging
 import math
 import pickle
 import random
+import sys
 import threading
 from collections import Counter, defaultdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -137,6 +138,89 @@ class TestTrainNgram:
             first = dense(lm.next_logits(prefix))
             second = dense(lm.next_logits(prefix))
             assert first == second
+
+
+def _unmemoized(lm: NgramLm, prefix: list[int]) -> list[tuple[int, str]]:
+    """``next_logits`` as computed before the per-context memo, floats in hex."""
+    context = lm._context(prefix)
+    total = lm._context_totals.get(context, 0)
+    followers = lm._follower_counts.get(context, {})
+    denom = total + lm.vocab_size
+    listed = {tid: math.log((n + 1) / denom) for tid, n in followers.items()}
+    return [(t, v.hex()) for t, v in listed.items()] + [(-1, math.log(1 / denom).hex())]
+
+
+def _bits(step: LmStep) -> list[tuple[int, str]]:
+    return [(t, v.hex()) for t, v in step.logits.items()] + [(-1, step.floor.hex())]
+
+
+def _random_prefixes(rng: random.Random, lm: NgramLm, count: int) -> list[list[int]]:
+    # Any id, EOS too: EOS never occurs in training, so it makes unseen contexts.
+    return [[rng.randrange(lm.vocab_size) for _ in range(rng.randint(0, 5))]
+            for _ in range(count)]
+
+
+class TestStepMemo:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_first_and_repeated_calls_equal_the_formula(self, order):
+        rng = random.Random(order)
+        for _ in range(10):
+            lm = random_ngram_lm(rng, order=order)
+            prefixes = _random_prefixes(rng, lm, 15)
+            for prefix in prefixes + prefixes:
+                step = lm.next_logits(prefix)
+                assert _bits(step) == _unmemoized(lm, prefix)
+                assert step.vocab_size == lm.vocab_size
+            assert lm._steps
+
+    def test_returned_logits_are_the_callers_own(self):
+        lm = train_ngram(["a b", "a c", "d a"], 2)
+        prefix = lm.tokenize("d")
+        want = _bits(lm.next_logits(prefix))
+        for _ in range(3):
+            step = lm.next_logits(prefix)
+            assert _bits(step) == want
+            step.logits.clear()
+            step.logits[0] = 0.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_memo_holds_only_contexts_the_model_holds(self, seed):
+        rng = random.Random(seed)
+        lm = random_ngram_lm(rng, order=rng.randint(1, 4))
+        prefixes = _random_prefixes(rng, lm, 50) + [[lm.eos] * lm.order]
+        for prefix in prefixes:
+            lm.next_logits(prefix)
+        queried = {lm._context(prefix) for prefix in prefixes}
+        assert set(lm._steps) == queried & set(lm._follower_counts)
+        if lm.order > 1:
+            assert queried - set(lm._follower_counts)
+
+    def test_threads_sharing_the_model_get_the_formula(self):
+        rng = random.Random(17)
+        lm = random_ngram_lm(rng, max_words=12, max_lines=20, order=3)
+        prefixes = _random_prefixes(rng, lm, 200)
+        want = [_unmemoized(lm, prefix) for prefix in prefixes]
+        wrong: list[list[int]] = []
+
+        def work(shift: int) -> None:
+            for i in range(len(prefixes)):
+                prefix = prefixes[(i + shift) % len(prefixes)]
+                if _bits(lm.next_logits(prefix)) != want[(i + shift) % len(prefixes)]:
+                    wrong.append(prefix)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(7 * k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert set(lm._steps) <= set(lm._follower_counts)
 
 
 # V = 5: a=0, b=1, c=2, d=3, EOS=4. After "a" the listed ids are b and c,

@@ -265,3 +265,48 @@ def test_served_logits_body_matches_dense_ranking(monkeypatch):
         server.shutdown()
         thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+class _TableLm(LmContract):
+    """Dyadic log-probs keyed by the last token, with a finite floor, so ties are exact."""
+
+    vocab_size, eos = 6, 5
+    TABLE = {
+        (): ({1: -0.0, 2: 0.0, 3: -1.0}, -1.5),
+        (1,): ({5: -0.5, 3: -0.5}, -2.0),
+        (2,): ({5: -1.0, 0: -0.5}, -1.5),
+        (3,): ({4: -0.0, 2: -0.0}, -1.0),
+    }
+
+    def tokenize(self, text):
+        return [int(w[1:]) for w in text.split()]
+
+    def detokenize(self, ids):
+        return " ".join(f"w{i}" for i in ids if i != self.eos)
+
+    def next_logits(self, prefix):
+        listed, floor = self.TABLE.get(tuple(prefix[-1:]), ({5: -0.5}, -1.0))
+        return LmStep(dict(listed), floor, self.vocab_size)
+
+
+@pytest.mark.parametrize("beam_size, groups", [(4, 2), (2, 2), (6, 2), (3, 1), (6, 3)])
+@pytest.mark.parametrize("penalty", [0.5, 1.0])
+def test_exact_ties_match_dense_full_sort(beam_size, groups, penalty):
+    # With beam_size 4, two groups and penalty 0.5, selection meets:
+    # - step 1: zero scores (a log-prob of -0.0 and one of 0.0), which enter
+    #   as the key -0.0 and must come back as a cum_logprob of +0.0; decode
+    #   starts each beam at +0.0 and never adds two negative zeros, so a
+    #   cum_logprob of -0.0 shows only as that key;
+    # - step 2: equal log-probs across a group's two beams at one score,
+    #   and in group 1 a penalized listed token (-1.0 - 0.5) scoring the
+    #   same as the floor tokens (-1.5), and a penalized unlisted token
+    #   scoring the same as the other beam's floor tokens;
+    # - step 3: a finished beam whose score equals two live candidates',
+    #   which win the slots on the lower beam index.
+    lm = _TableLm()
+    cfg = DecodeConfig(beam_size=beam_size, num_groups=groups, diversity_penalty=penalty,
+                       window=2, h_bf=0.0, p_bf=0.0, s_bf=0.0, max_tokens=5)
+    got = decode(lm, "", ONTO, LEX, None, "", cfg)
+    want = reference_decode(lm, lambda seq: dense(lm.next_logits(seq)),
+                            "", ONTO, LEX, None, "", cfg)
+    _assert_same(got, want)

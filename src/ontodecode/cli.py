@@ -29,8 +29,7 @@ from typing import Any, Callable, Iterable, Iterator
 from . import metrics
 from .annotator import annotate, build_lexicon
 from .decoder import DecodeConfig
-from .lm import (LmContract, LmServer, NgramLm, RemoteLm, check_order, check_top_k, is_integer,
-                 train_ngram)
+from .lm import LmContract, LmServer, NgramLm, RemoteLm, check_count, is_integer, train_ngram
 from .ontology import Ontology, load_ontology
 from .pipeline import (
     CSR,
@@ -45,6 +44,7 @@ from .pipeline import (
     normalize_dcf,
     prune_csr,
     read_corpus,
+    read_text,
     verbalize,
 )
 
@@ -107,10 +107,7 @@ def load_config(args: argparse.Namespace) -> dict:
     layers: list[dict] = []
     if args.config:
         path = _existing(args.config, "config file")
-        try:
-            file_config = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+        file_config = _read_json(path, "config file", UsageError)
         if not isinstance(file_config, dict):
             raise UsageError(f"config file {path} must hold a JSON object")
         layers.append(file_config)
@@ -172,8 +169,8 @@ def _checked_config(args: argparse.Namespace) -> dict:
     with _config_values("decode"):
         DecodeConfig(**config["decode"])
     with _config_values("lm"):
-        check_order(config["lm"]["order"])
-        check_top_k(config["lm"]["top_k"])
+        check_count("order", config["lm"]["order"])
+        check_count("top_k", config["lm"]["top_k"])
     with _config_values("dcf"):
         check_dcf_options(config["dcf"]["min_occ"], config["dcf"]["count"])
     with _config_values("prune"):
@@ -188,12 +185,12 @@ def _existing(path: str | Path, what: str) -> Path:
     return path
 
 
-def _read_json(path: Path, what: str) -> Any:
-    """The JSON value in ``path``; a file that is not UTF-8 JSON is an error that names it."""
+def _read_json(path: Path, what: str, error: type[ValueError] = ValueError) -> Any:
+    """The JSON value in ``path``; a file that is not UTF-8 JSON is an ``error`` naming it."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def _read_notes(path: Path) -> list[Note]:
@@ -227,7 +224,7 @@ def _build_lm(config: dict) -> LmContract:
         if not corpus_path:
             raise UsageError("config value 'lm.corpus' is required for the ngram backend")
         path = _existing(corpus_path, "lm corpus")
-        lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+        lines = [line for line in read_text(path).splitlines() if line.strip()]
         if not lines:
             raise UsageError(f"lm corpus {path} is empty")
         return train_ngram(lines, lm_config["order"])
@@ -356,6 +353,9 @@ def cmd_prune(args: argparse.Namespace) -> int:
     for csr_file in args.csr_files:
         path = _existing(csr_file, "CSR file")
         csr = CSR.from_dict(_read_json(path, "CSR file"))
+        unknown = next((c for c in csr.entries if c not in onto), None)
+        if unknown is not None:
+            raise ValueError(f"CSR file {path}: class {unknown!r} is not in the ontology")
         pruned = prune_csr(csr, dcf, onto, k=k, alpha=alpha)
         target = out / f"{path.stem}_pruned.json"
         _write_json(target, pruned.to_dict(onto))
@@ -411,7 +411,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     onto = _load_ontology(config)
     lex = build_lexicon(onto)
 
-    summary = _existing(args.summary, "input file").read_text(encoding="utf-8")
+    summary = read_text(_existing(args.summary, "input file"))
     notes = _read_notes(_existing(args.notes, "input file"))
 
     summary_concepts = {a.class_id for a in annotate(lex, summary)}
@@ -425,7 +425,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         "hs": metrics.hallucination_score(summary_concepts, note_concepts) if tagged else None,
     }
     if args.reference:
-        reference = _existing(args.reference, "reference file").read_text(encoding="utf-8")
+        reference = read_text(_existing(args.reference, "reference file"))
         reference_concepts = {a.class_id for a in annotate(lex, reference)}
         fields["rouge1"] = metrics.rouge1(summary, reference)
         fields["rouge2"] = metrics.rouge2(summary, reference)

@@ -26,12 +26,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .annotator import Lexicon, annotate
-from .lm import LmContract, LmStep, TokenId, is_finite_number
+from .lm import LmContract, LmStep, TokenId, check_count, is_finite_number
 from .metrics import ngram_counts, overlap_f1, rouge2
 from .ontology import ClassId, Ontology, UnknownClassError
 
@@ -53,19 +52,13 @@ class DecodeConfig:
     similarity_full_beam: bool = False
 
     def __post_init__(self) -> None:
-        if not 1 <= self.beam_size <= sys.maxsize:
-            raise ValueError(f"beam_size must be in [1, {sys.maxsize}], got {self.beam_size}")
-        if self.num_groups < 1:
-            raise ValueError(f"num_groups must be >= 1, got {self.num_groups}")
+        for name in ("beam_size", "num_groups", "window", "max_tokens"):
+            check_count(name, getattr(self, name))
         if self.beam_size % self.num_groups != 0:
             raise ValueError(
                 f"beam_size ({self.beam_size}) must be divisible by "
                 f"num_groups ({self.num_groups})"
             )
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.max_tokens < 1:
-            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
         for name in ("diversity_penalty", "h_bf", "p_bf", "s_bf"):
             value = getattr(self, name)
             if not (is_finite_number(value) and value >= 0):

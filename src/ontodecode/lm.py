@@ -165,23 +165,11 @@ class NgramLm(LmContract):
         return LmStep(dict(listed), floor, self.vocab_size)
 
 
-def check_order(n: int) -> None:
-    """Raise ``ValueError`` unless ``train_ngram`` accepts the order ``n``."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-
-
-def check_top_k(top_k: int) -> None:
-    """Raise ``ValueError`` unless ``RemoteLm`` accepts ``top_k``."""
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
-
-
 def train_ngram(corpus: list[str], n: int) -> NgramLm:
     """Train the reference n-gram model on whitespace-tokenized documents."""
     if not corpus:
         raise ValueError("training corpus must be non-empty")
-    check_order(n)
+    check_count("order", n)
 
     ids: dict[str, int] = {}
     for doc in corpus:
@@ -235,6 +223,12 @@ def is_finite_number(value: object) -> bool:
     return is_integer(value) and abs(value) <= _FLOAT_MAX
 
 
+def check_count(name: str, value: object, low: int = 1) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer in ``[low, sys.maxsize]``."""
+    if not (is_integer(value) and low <= value <= sys.maxsize):
+        raise ValueError(f"{name} must be an integer in [{low}, {sys.maxsize}], got {value!r}")
+
+
 class RemoteLm(LmContract):
     """Client for a backend speaking the HTTP wire protocol.
 
@@ -252,7 +246,8 @@ class RemoteLm(LmContract):
 
     def __init__(self, endpoint: str, top_k: int, *, timeout: float = 30.0,
                  retries: int = 3, backoff: float = 0.1):
-        check_top_k(top_k)
+        check_count("top_k", top_k)
+        check_count("retries", retries)
         self.endpoint = endpoint.rstrip("/")
         self.top_k = top_k
         self.timeout = timeout
@@ -504,8 +499,7 @@ def _make_handler(lm: LmContract):
                     prefix = _id_list(payload["prefix"], "prefix", vocab_size)
                     suffixes = _id_lists(payload["suffixes"], "suffixes", vocab_size)
                     top_k = payload["top_k"]
-                    if not (is_integer(top_k) and top_k >= 1):
-                        raise ValueError(f"top_k must be an integer >= 1, got {top_k!r}")
+                    check_count("top_k", top_k)
                     self._reply(200, {
                         "steps": [_wire_step(step, top_k, vocab_size)
                                   for step in lm.next_logits_batch(prefix, suffixes)],

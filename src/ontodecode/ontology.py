@@ -16,6 +16,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .lm import check_count
+
 logger = logging.getLogger(__name__)
 
 ClassId = str
@@ -33,6 +35,8 @@ class OntologyError(ValueError):
 
 class UnknownClassError(KeyError):
     """Raised when a query references a class id that does not exist."""
+
+    __str__ = Exception.__str__  # KeyError's would quote the message
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,8 +108,7 @@ class Ontology:
         The class itself is excluded; ``alpha=0`` therefore yields the
         empty set.
         """
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        check_count("alpha", alpha, low=0)
         self._require(class_id)
         seen: set[ClassId] = set()
         frontier = [class_id]
@@ -182,15 +185,14 @@ def load_ontology(path: str | Path) -> Ontology:
     built, and the caller's setting is restored afterwards.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     # The load allocates about ten containers per class and frees none of
     # them, so collector passes during it find nothing and cost a third of it.
     enabled = gc.isenabled()
     gc.disable()
     try:
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise OntologyError(f"{path}: not valid JSON: {exc}") from exc
         return Ontology.from_dict(data)
     finally:

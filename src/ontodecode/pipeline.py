@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .annotator import Lexicon, annotate
 from .decoder import DecodeConfig, decode
-from .lm import LmContract, is_finite_number, is_integer
+from .lm import LmContract, check_count, is_finite_number, is_integer
 from .metrics import NOT_EXTRACTED
 from .ontology import ClassId, Ontology
 
@@ -111,8 +111,7 @@ class DomainSpec:
 
 def check_dcf_options(min_occ: int, count: str) -> None:
     """Raise ``ValueError`` unless ``build_dcf`` accepts ``min_occ`` and ``count``."""
-    if min_occ < 1:
-        raise ValueError(f"min_occ must be >= 1, got {min_occ}")
+    check_count("min_occ", min_occ)
     if count not in ("documents", "occurrences"):
         raise ValueError(f"count must be 'documents' or 'occurrences', got {count!r}")
 
@@ -214,10 +213,8 @@ def extract_csr(lm: LmContract, onto: Ontology, lex: Lexicon,
 
 def check_prune_options(k: int, alpha: int) -> None:
     """Raise ``ValueError`` unless ``prune_csr`` accepts ``k`` and ``alpha``."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    check_count("k", k)
+    check_count("alpha", alpha, low=0)
 
 
 def prune_csr(csr: CSR, dcf: DCF, onto: Ontology, k: int, alpha: int) -> CSR:
@@ -275,10 +272,18 @@ class Note:
     domain: str | None = None
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; any other bytes raise ``ValueError`` naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def read_corpus(path: str | Path) -> list[Note]:
     """Read a JSONL corpus of {"id", "domain", "text"} objects."""
     notes: list[Note] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         try:

@@ -1,11 +1,16 @@
+import contextlib
 import json
 import random
+import re
+import sys
+import threading
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
 
 from ontodecode.annotator import build_lexicon
-from ontodecode.lm import LmContract, LmStep, NgramLm, train_ngram
+from ontodecode.lm import LmContract, LmServer, LmStep, NgramLm, train_ngram
 from ontodecode.ontology import Ontology
 from ontodecode.pipeline import build_prompt
 
@@ -94,6 +99,31 @@ class NoCandidateLm(LmContract):
 def dense(step: LmStep) -> dict[int, float]:
     """The full distribution ``step`` stands for: one entry per vocabulary id."""
     return {t: step.logits.get(t, step.floor) for t in range(step.vocab_size)} | step.logits
+
+
+@contextlib.contextmanager
+def serving(lm: LmContract) -> Iterator[LmServer]:
+    """An ``LmServer`` for ``lm`` on loopback, served by a daemon thread until the block ends."""
+    server = LmServer(lm)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def bad_counts(low: int = 1) -> list:
+    """Values the count rule rejects: no integer, or an integer outside ``[low, sys.maxsize]``."""
+    return [1.0, 2.5, True, "3", None, low - 1, sys.maxsize + 1]
+
+
+def count_error(name: str, value: object, low: int = 1) -> str:
+    """A pattern for the whole count-rule message for ``name`` and ``value``."""
+    return "^" + re.escape(f"{name} must be an integer in [{low}, {sys.maxsize}], "
+                           f"got {value!r}") + "$"
 
 
 def random_ngram_lm(rng: random.Random, max_words: int = 4, max_lines: int = 5,

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -13,9 +12,9 @@ import pytest
 import ontodecode
 from ontodecode import cli, metrics, pipeline
 from ontodecode.cli import main
-from ontodecode.lm import LmServer, train_ngram
+from ontodecode.lm import train_ngram
 
-from conftest import ADMISSION_NOTES, NoCandidateLm, build_fixture_tree
+from conftest import ADMISSION_NOTES, NoCandidateLm, build_fixture_tree, serving
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -89,18 +88,12 @@ class TestExtract:
 
     def test_backend_without_candidates_fails_the_note(self, fixture_tree, capsys):
         # The server lists no next token, so the remote reply's token list is empty.
-        server = LmServer(NoCandidateLm())
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with serving(NoCandidateLm()) as server:
             code, _, err = run(capsys, "extract",
                                str(fixture_tree["admission"] / "notes.jsonl"),
                                "--config", str(fixture_tree["config"]),
                                "--set", "lm.kind=remote",
                                "--set", f"lm.endpoint={server.endpoint}")
-        finally:
-            server.shutdown()
-            thread.join(timeout=5)
         assert code == 1
         error = json.loads(err)["error"]
         assert error["type"] == "PartialCsrError"
@@ -121,6 +114,25 @@ class TestPrune:
         assert code == 0
         pruned = json.loads((fixture_tree["output"] / "csr_note-1_pruned.json").read_text())
         assert [e["class"] for e in pruned["entries"]] == ["Aspirin"]
+
+    @pytest.mark.parametrize("freq", [{"Heart": 1.0}, {"Ghost": 2.0, "Heart": 1.0}],
+                             ids=["outside the top k", "inside the top k"])
+    def test_csr_class_not_in_the_ontology_is_named(self, fixture_tree, capsys, tmp_path,
+                                                    freq):
+        # Outside the top k the class was dropped silently; inside, the run
+        # failed with KeyError's quoted message and named no file.
+        csr, dcf = tmp_path / "csr.json", tmp_path / "dcf.json"
+        csr.write_text(json.dumps({"note_id": "n", "entries": [
+            {"class": "Heart", "value": "steady"}, {"class": "Ghost", "value": "pale"}]}))
+        dcf.write_text(json.dumps({"domain": "cardio", "freq": freq}))
+        code, out, err = run(capsys, "prune", str(csr), "--dcf", str(dcf),
+                             "--config", str(fixture_tree["config"]), "--set", "prune.k=1")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError",
+            "message": f"CSR file {csr}: class 'Ghost' is not in the ontology"}
+        assert not (fixture_tree["output"] / "csr_pruned.json").exists()
 
     @pytest.mark.parametrize("dcf, message", [
         ({"domain": None, "freq": {}}, "DCF 'domain' must be a string"),
@@ -440,6 +452,34 @@ class TestMissingInputs:
         assert json.loads(err)["error"] == {
             "type": "UsageError", "message": f"{what} not found: {paths['missing']}"}
 
+    @pytest.mark.parametrize("argv, code, error", [
+        ("build-dcf --config {bad}", 2, "UsageError"),
+        ("build-dcf --config {config} --set ontology_path={bad}", 1, "OntologyError"),
+        ("build-dcf --config {config} --set corpus_path={bad}", 1, "ValueError"),
+        ("extract {notes} --config {config} --set lm.corpus={bad}", 1, "ValueError"),
+        ("extract {bad} --config {config}", 1, "ValueError"),
+        ("score {bad} {notes} --config {config}", 1, "ValueError"),
+        ("score {summary} {bad} --config {config}", 1, "ValueError"),
+        ("score {summary} {notes} --config {config} --reference {bad}", 1, "ValueError"),
+    ])
+    def test_file_that_is_not_utf8_is_named(self, fixture_tree, capsys, tmp_path, argv, code,
+                                            error):
+        # Each read raised a bare UnicodeDecodeError that named no file.
+        paths = {
+            "config": fixture_tree["config"],
+            "notes": fixture_tree["admission"] / "notes.jsonl",
+            "summary": tmp_path / "summary.txt",
+            "bad": tmp_path / "latin1.txt",
+        }
+        paths["summary"].write_text("fever")
+        paths["bad"].write_bytes("caf\u00e9\n".encode("latin-1"))
+        got, out, err = run(capsys, *(part.format(**paths) for part in argv.split()))
+        assert (got, out) == (code, "")
+        payload = json.loads(err)["error"]
+        assert payload["type"] == error
+        assert str(paths["bad"]) in payload["message"]
+        assert "codec can't decode" in payload["message"]
+
     @pytest.mark.parametrize("argv", [
         "extract {empty} --config {config}",
         "summarize {admission} --domain cardio --config {config}",
@@ -503,13 +543,14 @@ class TestConfigErrors:
         ('build-dcf --config {config} --set dcf.domains=["cardio","ortho"]',
          "domain 'ortho' has no documents in the corpus"),
         ("summarize {admission} --domain cardio --config {config} --set lm.order=0",
-         "invalid lm configuration: order must be >= 1, got 0"),
+         f"invalid lm configuration: order must be an integer in [1, {sys.maxsize}], got 0"),
         ("summarize {admission} --domain cardio --config {config} --set lm.order=-2",
-         "invalid lm configuration: order must be >= 1, got -2"),
+         f"invalid lm configuration: order must be an integer in [1, {sys.maxsize}], got -2"),
         ("summarize {admission} --domain cardio --config {config} --set decode.window=0",
-         "invalid decode configuration: window must be >= 1, got 0"),
+         f"invalid decode configuration: window must be an integer in [1, {sys.maxsize}], "
+         "got 0"),
         ("extract {notes} --config {config} --set decode.beam_size=2" + "0" * 30,
-         f"invalid decode configuration: beam_size must be in [1, {sys.maxsize}], "
+         f"invalid decode configuration: beam_size must be an integer in [1, {sys.maxsize}], "
          "got 2" + "0" * 30),
         ("summarize {admission} --domain cardio --config {config} --set decode.h_bf=NaN",
          "invalid decode configuration: h_bf must be a finite number >= 0, got nan"),
@@ -518,14 +559,14 @@ class TestConfigErrors:
         ("summarize {admission} --domain cardio --config {config} --set decode.h_bf=1e400",
          "invalid decode configuration: h_bf must be a finite number >= 0, got inf"),
         ("summarize {admission} --domain cardio --config {config} --set dcf.min_occ=0",
-         "invalid dcf configuration: min_occ must be >= 1, got 0"),
+         f"invalid dcf configuration: min_occ must be an integer in [1, {sys.maxsize}], got 0"),
         ("summarize {admission} --domain cardio --config {config} --set prune.k=-1",
-         "invalid prune configuration: k must be >= 1, got -1"),
+         f"invalid prune configuration: k must be an integer in [1, {sys.maxsize}], got -1"),
         ("summarize {admission} --domain cardio --config {config} --set prune.alpha=-1",
-         "invalid prune configuration: alpha must be >= 0, got -1"),
+         f"invalid prune configuration: alpha must be an integer in [0, {sys.maxsize}], got -1"),
         ("summarize {admission} --domain cardio --config {config} --set lm.kind=remote"
          " --set lm.endpoint=http://127.0.0.1:9 --set lm.top_k=0",
-         "invalid lm configuration: top_k must be >= 1, got 0"),
+         f"invalid lm configuration: top_k must be an integer in [1, {sys.maxsize}], got 0"),
         ("summarize {admission} --domain cardio --config {config} --jobs 0",
          "--jobs must be >= 1, got 0"),
         ("summarize {admission} --domain cardio --config {config} --jobs -3",
@@ -558,7 +599,9 @@ class TestConfigErrors:
                            "--config", config, "--set", "prune.k=0")
         assert code == 2
         assert json.loads(err)["error"] == {
-            "type": "UsageError", "message": "invalid prune configuration: k must be >= 1, got 0"}
+            "type": "UsageError",
+            "message": f"invalid prune configuration: k must be an integer in [1, {sys.maxsize}], "
+                       "got 0"}
 
     def test_out_of_range_value_exits_before_any_decode(self, fixture_tree, capsys,
                                                          monkeypatch):
@@ -569,7 +612,9 @@ class TestConfigErrors:
         code, _, err = run(capsys, *_argv(fixture_tree, "summarize"), "--set", "prune.k=-1")
         assert code == 2
         assert json.loads(err)["error"] == {
-            "type": "UsageError", "message": "invalid prune configuration: k must be >= 1, got -1"}
+            "type": "UsageError",
+            "message": f"invalid prune configuration: k must be an integer in [1, {sys.maxsize}], "
+                       "got -1"}
 
     @pytest.mark.parametrize("argv", [
         "build-dcf --config {config}",
@@ -631,16 +676,9 @@ def served_fixture_lm(tmp_path_factory):
     tree = build_fixture_tree(tmp_path_factory.mktemp("served"))
     lines = tree["lm_corpus"].read_text(encoding="utf-8").splitlines()
     lm = train_ngram([line for line in lines if line.strip()], 2)
-    server = LmServer(lm)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(lm) as server:
         yield tree, ["--set", "lm.kind=remote", "--set", f"lm.endpoint={server.endpoint}",
                      "--set", f"lm.top_k={lm.vocab_size}"]
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
-    assert not thread.is_alive()
 
 
 class TestRepeatedRuns:

@@ -25,6 +25,8 @@ from conftest import (
     FIXTURE_CLASSES,
     ConstantLm,
     NoCandidateLm,
+    bad_counts,
+    count_error,
     dense,
     make_ontology,
     random_dag,
@@ -64,9 +66,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             _config(**overrides)
 
+    @pytest.mark.parametrize("value", bad_counts(), ids=repr)
+    @pytest.mark.parametrize("name", ["beam_size", "num_groups", "window", "max_tokens"])
+    def test_counts_are_integers_in_range(self, name, value):
+        # A float or a bool decoded, or failed deep inside decode, before the count rule.
+        with pytest.raises(ValueError, match=count_error(name, value)):
+            DecodeConfig(**{name: value})
+
     def test_beam_size_at_most_sys_maxsize(self, medical_ontology, medical_lexicon):
         # Above sys.maxsize decode would fail inside itertools.islice instead.
-        with pytest.raises(ValueError, match=r"^beam_size must be in \[1, \d+\], got 2\d{30}$"):
+        with pytest.raises(ValueError,
+                           match=r"^beam_size must be an integer in \[1, \d+\], got 2\d{30}$"):
             DecodeConfig(beam_size=2 * 10 ** 30, num_groups=2)
         lm = random_ngram_lm(random.Random(3))
         wide = decode(lm, "", medical_ontology, medical_lexicon, None, "",

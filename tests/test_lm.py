@@ -4,6 +4,7 @@ import logging
 import math
 import pickle
 import random
+import re
 import sys
 import threading
 from collections import Counter, defaultdict
@@ -14,7 +15,6 @@ import requests
 
 from ontodecode.lm import (
     LmProtocolError,
-    LmServer,
     LmStep,
     LmUnavailableError,
     NgramLm,
@@ -22,7 +22,7 @@ from ontodecode.lm import (
     train_ngram,
 )
 
-from conftest import dense, random_ngram_lm
+from conftest import bad_counts, count_error, dense, random_ngram_lm, serving
 
 
 def _per_token_train_ngram(corpus: list[str], n: int) -> NgramLm:
@@ -297,14 +297,29 @@ class TestLmStep:
 @pytest.fixture
 def served_ngram():
     lm = train_ngram(["the dog barks", "the cat sleeps", "the dog sleeps"], 2)
-    server = LmServer(lm)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(lm) as server:
         yield lm, server
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
+
+
+_COUNTS = {
+    "order": lambda value: train_ngram(["the dog barks"], value),
+    "top_k": lambda value: RemoteLm("http://127.0.0.1:9", top_k=value),
+    "retries": lambda value: RemoteLm("http://127.0.0.1:9", top_k=1, retries=value),
+}
+
+
+@pytest.mark.parametrize("value", bad_counts(), ids=repr)
+@pytest.mark.parametrize("name", [*_COUNTS, "served top_k"])
+def test_counts_are_integers_in_range(request, name, value):
+    if name == "served top_k":
+        _, server = request.getfixturevalue("served_ngram")
+        reply = requests.post(server.endpoint + "/v1/logits",
+                              json={"prefix": [], "suffixes": [[]], "top_k": value}, timeout=10)
+        assert reply.status_code == 400
+        assert re.search(count_error("top_k", value), reply.json()["error"])
+    else:
+        with pytest.raises(ValueError, match=count_error(name, value)):
+            _COUNTS[name](value)
 
 
 class TestWireProtocol:

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from ontodecode.ontology import (
     load_ontology,
 )
 
-from conftest import make_ontology, random_dag
+from conftest import bad_counts, count_error, make_ontology, random_dag
 
 
 def chain_abc() -> Ontology:
@@ -40,6 +41,12 @@ class TestLoad:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(OntologyError, match="not valid JSON"):
+            load_ontology(path)
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"classes": [{"id": "A", "label": "caf\u00e9"}]}'.encode("latin-1"))
+        with pytest.raises(OntologyError, match=f"^{re.escape(str(path))}: not valid JSON: "):
             load_ontology(path)
 
     def test_dangling_parent(self):
@@ -249,6 +256,13 @@ class TestAncestors:
         with pytest.raises(UnknownClassError):
             chain_abc().ancestors("nope")
 
+    def test_unknown_class_message_is_not_quoted(self):
+        # KeyError's str() would quote the whole message.
+        with pytest.raises(UnknownClassError) as info:
+            chain_abc().label("nope")
+        assert str(info.value) == "unknown class id: 'nope'"
+        assert isinstance(info.value, KeyError)
+
     def test_closure_is_the_classes_and_their_ancestors(self):
         rng = random.Random(11)
         for _ in range(10):
@@ -287,6 +301,11 @@ class TestDescendantsWithin:
     def test_unknown_class(self):
         with pytest.raises(UnknownClassError):
             chain_abc().descendants_within("nope", 1)
+
+    @pytest.mark.parametrize("value", bad_counts(0), ids=repr)
+    def test_alpha_is_an_integer_in_range(self, value):
+        with pytest.raises(ValueError, match=count_error("alpha", value, 0)):
+            chain_abc().descendants_within("A", value)
 
     def test_monotone_in_alpha(self):
         rng = random.Random(11)

@@ -24,7 +24,7 @@ from ontodecode.pipeline import (
     verbalize,
 )
 
-from conftest import ConstantLm, make_ontology, random_dag
+from conftest import ConstantLm, bad_counts, count_error, make_ontology, random_dag
 
 
 def small_cfg(**overrides) -> DecodeConfig:
@@ -314,6 +314,21 @@ class TestPruneCsr:
             prune_csr(self._csr(), dcf, medical_ontology, k=1, alpha=-1)
 
 
+@pytest.mark.parametrize("name, low, value", [
+    (name, low, value) for name, low in [("min_occ", 1), ("k", 1), ("alpha", 0)]
+    for value in bad_counts(low)])
+def test_counts_are_integers_in_range(medical_ontology, medical_lexicon, name, low, value):
+    calls = {
+        "min_occ": lambda: build_dcf(medical_ontology, medical_lexicon,
+                                     DomainSpec("d", ["fever"]), min_occ=value),
+        "k": lambda: prune_csr(CSR("n", {}), DCF("d", {}), medical_ontology, k=value, alpha=0),
+        "alpha": lambda: prune_csr(CSR("n", {}), DCF("d", {}), medical_ontology, k=1,
+                                   alpha=value),
+    }
+    with pytest.raises(ValueError, match=count_error(name, value, low)):
+        calls[name]()
+
+
 class TestVerbalize:
     def test_rendering_format(self, medical_ontology):
         csr = CSR("n1", {"Fever": "patient febrile"})
@@ -385,6 +400,12 @@ class TestCorpusIo:
         path = tmp_path / "notes.jsonl"
         path.write_text('{"id": "a", "text": "t1"}\n' + line + "\n")
         with pytest.raises(ValueError, match=f"notes.jsonl:2: {re.escape(message)}"):
+            read_corpus(path)
+
+    def test_read_corpus_names_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "notes.jsonl"
+        path.write_bytes('{"id": "a", "text": "caf\u00e9"}\n'.encode("latin-1"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text: "):
             read_corpus(path)
 
     def test_csr_roundtrip(self, medical_ontology):

@@ -11,7 +11,6 @@ or the dense distribution itself when k covers the vocabulary.
 
 import math
 import random
-import threading
 from collections import Counter
 
 import pytest
@@ -21,10 +20,10 @@ from ontodecode.annotator import build_lexicon
 from ontodecode.decoder import (
     BeamState, DecodeConfig, DecodeResult, ScoringContext, decode, window_rescore,
 )
-from ontodecode.lm import LmContract, LmServer, LmStep, RemoteLm, train_ngram
+from ontodecode.lm import LmContract, LmStep, RemoteLm, train_ngram
 from ontodecode.ontology import UnknownClassError
 
-from conftest import dense, make_ontology
+from conftest import dense, make_ontology, serving
 
 ONTO = make_ontology([
     {"id": "A", "label": "w0"},
@@ -219,9 +218,6 @@ def test_served_logits_body_matches_dense_ranking(monkeypatch):
     rng = random.Random(11)
     words = [f"w{i}" for i in range(15)]
     lm = train_ngram([" ".join(rng.choice(words) for _ in range(12)) for _ in range(3)], 2)
-    server = LmServer(lm)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     original = requests.Session.post
     sent = []
 
@@ -230,7 +226,7 @@ def test_served_logits_body_matches_dense_ranking(monkeypatch):
         return original(session, url, json=json, **kwargs)
 
     monkeypatch.setattr(requests.Session, "post", post)
-    try:
+    with serving(lm) as server:
         V = lm.vocab_size
         for top_k in sorted({1, 2, V - 1, V, V + 5}):
             remote = RemoteLm(server.endpoint, top_k=top_k)
@@ -261,10 +257,6 @@ def test_served_logits_body_matches_dense_ranking(monkeypatch):
             sent.clear()
             assert remote.next_logits_batch(shared, []) == []
             assert sent == []
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
-    assert not thread.is_alive()
 
 
 class _TableLm(LmContract):

@@ -349,13 +349,16 @@ def cmd_prune(args: argparse.Namespace) -> int:
     dcf = DCF.from_dict(_read_json(dcf_path, "DCF file"))
     k, alpha = config["prune"]["k"], config["prune"]["alpha"]
 
-    out = _output_dir(config)
+    csrs = []  # every file is read and checked before any output is written
     for csr_file in args.csr_files:
         path = _existing(csr_file, "CSR file")
         csr = CSR.from_dict(_read_json(path, "CSR file"))
         unknown = next((c for c in csr.entries if c not in onto), None)
         if unknown is not None:
             raise ValueError(f"CSR file {path}: class {unknown!r} is not in the ontology")
+        csrs.append((path, csr))
+    out = _output_dir(config)
+    for path, csr in csrs:
         pruned = prune_csr(csr, dcf, onto, k=k, alpha=alpha)
         target = out / f"{path.stem}_pruned.json"
         _write_json(target, pruned.to_dict(onto))

@@ -248,6 +248,10 @@ class RemoteLm(LmContract):
                  retries: int = 3, backoff: float = 0.1):
         check_count("top_k", top_k)
         check_count("retries", retries)
+        if not (is_finite_number(timeout) and timeout > 0):
+            raise ValueError(f"timeout must be a finite number > 0, got {timeout!r}")
+        if not (is_finite_number(backoff) and backoff >= 0):
+            raise ValueError(f"backoff must be a finite number >= 0, got {backoff!r}")
         self.endpoint = endpoint.rstrip("/")
         self.top_k = top_k
         self.timeout = timeout

@@ -224,8 +224,12 @@ def prune_csr(csr: CSR, dcf: DCF, onto: Ontology, k: int, alpha: int) -> CSR:
     class id) plus everything within ``alpha`` hops below them.
     """
     check_prune_options(k, alpha)
-    ranked = heapq.nsmallest(k, dcf.freq.items(), key=lambda item: (-item[1], item[0]))
-    top = [class_id for class_id, _ in ranked]
+    # Only a class at or above the k-th highest frequency can rank in the
+    # top k, so the (-freq, class id) sort runs over those few alone. An
+    # empty DCF has no k-th value, and no class to compare with one.
+    largest = heapq.nlargest(k, dcf.freq.values())
+    floor = largest[-1] if largest else None
+    top = [c for _, c in sorted([(-f, c) for c, f in dcf.freq.items() if f >= floor])[:k]]
     keep = set(top)
     for class_id in top:
         if class_id in onto:

@@ -166,6 +166,22 @@ class TestPrune:
         assert error["type"] == "ValueError"
         assert error["message"].startswith(f"{what} {files[what]} is not valid JSON: ")
 
+    def test_bad_later_file_writes_nothing(self, fixture_tree, capsys, tmp_path):
+        # Each file was pruned and written before the next was read, so the
+        # good file's output was left behind when a later file failed.
+        good, bad, dcf = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "dcf.json"
+        good.write_text(json.dumps({"note_id": "n", "entries": [
+            {"class": "Aspirin", "value": "took aspirin"}]}))
+        bad.write_text("{not json")
+        dcf.write_text(json.dumps({"domain": "cardio", "freq": {"Aspirin": 1.0}}))
+        code, out, err = run(capsys, "prune", str(good), str(bad), "--dcf", str(dcf),
+                             "--config", str(fixture_tree["config"]))
+        assert code == 1
+        assert out == ""
+        message = json.loads(err)["error"]["message"]
+        assert message.startswith(f"CSR file {bad} is not valid JSON: ")
+        assert not (fixture_tree["output"] / "good_pruned.json").exists()
+
     def test_set_section_object_keeps_other_keys(self, fixture_tree, capsys):
         config = str(fixture_tree["config"])
         notes = fixture_tree["admission"] / "notes.jsonl"

@@ -322,6 +322,29 @@ def test_counts_are_integers_in_range(request, name, value):
             _COUNTS[name](value)
 
 
+_BAD_WAITS = [0, -1.0, math.nan, math.inf, True, "1"]
+
+
+@pytest.mark.parametrize("name, bound, value", [
+    *(("timeout", "> 0", value) for value in _BAD_WAITS),
+    *(("backoff", ">= 0", value) for value in _BAD_WAITS[1:]),  # a backoff of 0 waits not at all
+], ids=repr)
+def test_timeout_and_backoff_are_checked_before_any_request(monkeypatch, name, bound, value):
+    # They failed only at the first request, with requests' or time.sleep's message.
+    posts = []
+    monkeypatch.setattr(requests.Session, "post", lambda *args, **kwargs: posts.append(args))
+    message = f"{name} must be a finite number {bound}, got {value!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        RemoteLm("http://127.0.0.1:9", top_k=1, **{name: value})
+    assert posts == []
+
+
+def test_zero_backoff_and_float_timeout_are_allowed(served_ngram):
+    lm, server = served_ngram
+    remote = RemoteLm(server.endpoint, top_k=lm.vocab_size, timeout=0.5, backoff=0)
+    assert dense(remote.next_logits([])) == dense(lm.next_logits([]))
+
+
 class TestWireProtocol:
     def test_tokenize_detokenize_roundtrip(self, served_ngram):
         lm, server = served_ngram

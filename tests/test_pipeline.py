@@ -1,5 +1,7 @@
+import heapq
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -312,6 +314,48 @@ class TestPruneCsr:
             prune_csr(self._csr(), dcf, medical_ontology, k=0, alpha=0)
         with pytest.raises(ValueError):
             prune_csr(self._csr(), dcf, medical_ontology, k=1, alpha=-1)
+
+
+def _keyed_top_k(dcf: DCF, k: int) -> set[str]:
+    """The keyed heap ``prune_csr`` ranked with before, kept as its oracle."""
+    ranked = heapq.nsmallest(k, dcf.freq.items(), key=lambda item: (-item[1], item[0]))
+    return {class_id for class_id, _ in ranked}
+
+
+class TestTopKRanking:
+    """``prune_csr`` keeps the classes the keyed heap ranks in the top k."""
+
+    CLASSES = [f"c{i:02d}" for i in range(40)]
+    # Few distinct values, so ties are the rule: 0.0 with -0.0, ints with
+    # equal floats, and negatives.
+    VALUES = [0.0, -0.0, 0, 1, 1.0, 2, 2.5, -1, -1.0, -2.5, 7, 1e-300, -1e300, 1e300]
+
+    @pytest.fixture(scope="class")
+    def flat(self):
+        return make_ontology([{"id": c, "label": f"class {c}"} for c in self.CLASSES])
+
+    @pytest.mark.parametrize("k_of", [
+        lambda n: 1, lambda n: 2, lambda n: n - 1, lambda n: n, lambda n: n + 1,
+        lambda n: sys.maxsize,
+    ], ids=["1", "2", "len-1", "len", "len+1", "maxsize"])
+    def test_matches_keyed_heap(self, flat, k_of):
+        rng = random.Random(24)
+        csr = CSR("n", {c: "v" for c in self.CLASSES})
+        for _ in range(300):
+            # A random insertion order, so a ranking without the class-id
+            # tie-break keeps other classes than the oracle.
+            classes = rng.sample(self.CLASSES, rng.randint(1, len(self.CLASSES)))
+            values = rng.sample(self.VALUES, rng.randint(1, 4))
+            dcf = DCF("d", {c: rng.choice(values) for c in classes})
+            k = k_of(len(classes))
+            if k < 1:
+                continue
+            pruned = prune_csr(csr, dcf, flat, k=k, alpha=0)
+            assert set(pruned.entries) == _keyed_top_k(dcf, k), (dcf.freq, k)
+
+    def test_empty_dcf_keeps_nothing(self, flat):
+        csr = CSR("n", {c: "v" for c in self.CLASSES})
+        assert prune_csr(csr, DCF("d", {}), flat, k=1, alpha=0).entries == {}
 
 
 @pytest.mark.parametrize("name, low, value", [

@@ -1,13 +1,13 @@
 """The wire protocol: serving token probabilities over HTTP.
 
-Any backend that answers /v1/tokenize, /v1/detokenize, and /v1/logits can
-drive the decoder. Logits and detokenize requests carry a batch, and the
-decoder sends one logits request per step: the prompt once as the prefix,
-and one suffix per beam holding the tokens it has generated. Here the
-reference n-gram model is served in-process and queried through the
-remote client; with top_k covering the full vocabulary, each reply step
-carries the model's floor, and the remote decode reproduces the local one
-bitwise.
+Any backend that answers /v1/tokenize and /v1/logits can drive the
+decoder. A logits request carries a batch, and the decoder sends one per
+step: the prompt once as the prefix, one suffix per beam holding the tokens
+it has generated, and the id lists of the windows it rescores, which come
+back as texts. Here the reference n-gram model is served in-process and
+queried through the remote client; with top_k covering the full
+vocabulary, each reply step carries the model's floor, and the remote
+decode reproduces the local one bitwise.
 """
 
 import threading
@@ -38,15 +38,13 @@ ids = remote.tokenize("the patient")
 print("tokenize('the patient') ->", ids)
 print("detokenize back         ->", repr(remote.detokenize(ids)))
 
-print("detokenize a batch      ->",
-      remote.detokenize_batch([ids, ids[:1], []]))
-
-# One request for three continuations of "the patient": the prefix is sent
-# once, then one suffix each.
+# One request for three continuations of "the patient" and their texts:
+# the prefix is sent once, then one suffix each.
 suffixes = [[], remote.tokenize("took"), remote.tokenize("slept")]
-for suffix, step in zip(suffixes, RemoteLm(server.endpoint, top_k=3)
-                        .next_logits_batch(ids, suffixes)):
-    print(f"top-3 after {remote.detokenize(ids + suffix)!r}:",
+steps, texts = RemoteLm(server.endpoint, top_k=3).step(
+    ids, suffixes, [ids + suffix for suffix in suffixes])
+for text, step in zip(texts, steps):
+    print(f"top-3 after {text!r}:",
           {t: round(lp, 4) for t, lp in step.logits.items()},
           "(truncated)" if step.truncated else "")
 

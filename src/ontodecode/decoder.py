@@ -3,7 +3,7 @@
 Beams are expanded group by group; within one step, later groups pay a
 Hamming diversity penalty for tokens earlier groups already picked at
 that position. Every ``window`` freshly generated tokens, each group's
-beams are detokenized, annotated, and scored:
+beams are detokenized (in the next step's LM call), annotated and scored:
 
   hierarchy  H = h_bf * (fraction of tagged classes descending from base)
   property   P = p_bf * |C ∩ P(base)| / (|C| * |P(base)|)
@@ -27,6 +27,7 @@ import heapq
 import itertools
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .annotator import Lexicon, annotate
@@ -165,35 +166,41 @@ class ScoringContext:
 
 def _log_softmax(raw: list[float]) -> list[float]:
     m = max(raw)
-    lse = m + math.log(sum(math.exp(r - m) for r in raw))
+    lse = m + math.log(math.fsum(math.exp(r - m) for r in raw))
     return [r - lse for r in raw]
 
 
-def window_rescore(lm: LmContract, beams: list[BeamState],
+def _window_ids(groups: list[list[BeamState]], eos: TokenId, full: bool) -> list[list[TokenId]]:
+    """Per group, its open windows, then (if ``full``) those beams' tokens."""
+    ids: list[list[TokenId]] = []
+    for beams in groups:
+        participants = [b for b in beams if b.window_start < len(b.tokens)]
+        ids += [[t for t in b.tokens[b.window_start:] if t != eos] for b in participants]
+        if full:
+            ids += [[t for t in b.tokens if t != eos] for b in participants]
+    return ids
+
+
+def window_rescore(texts: Iterable[str], beams: list[BeamState],
                    ctx: ScoringContext) -> list[ScoreBreakdown | None]:
     """Score one group's current windows and fold the result into the beams.
 
-    Beams whose window is empty (already rescored, nothing generated
-    since) are skipped and get ``None`` in the returned list. For the
-    others the raw sum H+P+S is computed, log-softmaxed across the
-    participants, added to ``cum_logprob``, and the window is reset.
+    Reads the texts of ``_window_ids([beams], ...)`` from ``texts``, so
+    that calls sharing one iterator each take their own group's. Beams
+    whose window is empty (already rescored, nothing generated since) are
+    skipped and get ``None`` in the returned list. For the others the raw
+    sum H+P+S is computed, log-softmaxed across the participants, added to
+    ``cum_logprob``, and the window is reset.
     """
     participants = [b for b in beams if b.window_start < len(b.tokens)]
     if not participants:
         return [None] * len(beams)
 
-    # Every text the group is scored on, detokenized in one batch: the
-    # windows, then (under similarity_full_beam) the full beams.
-    eos = lm.eos
-    batch = [[t for t in b.tokens[b.window_start:] if t != eos] for b in participants]
-    if ctx.cfg.similarity_full_beam:
-        batch += [[t for t in b.tokens if t != eos] for b in participants]
-    texts = lm.detokenize_batch(batch)
-    n = len(participants)
-    full_texts: list[str | None] = texts[n:] or [None] * n
-
+    n, texts = len(participants), iter(texts)
+    window_texts = list(itertools.islice(texts, n))
+    full_texts = itertools.islice(texts, n) if ctx.cfg.similarity_full_beam else [None] * n
     partial = [ctx.scores(window_text, full_text)
-               for window_text, full_text in zip(texts, full_texts)]
+               for window_text, full_text in zip(window_texts, full_texts)]
     adjusted = _log_softmax([h + p + s for h, p, s in partial])
     by_beam: dict[int, ScoreBreakdown] = {}
     for beam, (h, p, s), bs in zip(participants, partial, adjusted):
@@ -240,15 +247,23 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
     per_group = cfg.beam_size // cfg.num_groups
     groups = [[BeamState([], 0.0)] for _ in range(cfg.num_groups)]
 
+    # No group changes another's prefixes or reads another's scores within a
+    # step. So one call per step serves every group (the prompt once, then
+    # each live beam's tokens in group then slot order), and it carries the
+    # windows filled in the last step; their groups are rescored before any
+    # selection, which leaves each beam's float operations in the same order.
+    filled: list[list[BeamState]] = []
+    window_ids: list[list[TokenId]] = []
     for _ in range(cfg.max_tokens):
         live = [b for beams in groups for b in beams if not b.finished]
         if not live:
             break
-        # No group changes another's prefixes within a step, so one batch,
-        # the prompt once and each beam's tokens in group then slot order,
-        # serves every group's expansion.
-        steps = iter(lm.next_logits_batch(prompt_ids, [b.tokens for b in live]))
-        # Read after the batch, whose reply gives a remote backend its eos.
+        replies, texts = lm.step(prompt_ids, [b.tokens for b in live], window_ids)
+        window_texts = iter(texts)
+        for beams in filled:
+            window_rescore(window_texts, beams, ctx)
+        filled, steps = [], iter(replies)
+        # Read after the call, whose reply gives a remote backend its eos.
         eos = lm.eos
         chosen_counts: Counter[TokenId] = Counter()
         for g, beams in enumerate(groups):
@@ -282,23 +297,23 @@ def decode(lm: LmContract, prompt: str, onto: Ontology, lex: Lexicon,
             chosen_counts.update(group_chosen)
 
             active = [b for b in new_beams if not b.finished]
-            window_full = active and (len(active[0].tokens) - active[0].window_start
-                                      >= cfg.window)
-            if window_full or not active:
-                window_rescore(lm, new_beams, ctx)
+            if not active or len(active[0].tokens) - active[0].window_start >= cfg.window:
+                filled.append(new_beams)
+        window_ids = _window_ids(filled, eos, cfg.similarity_full_beam)
 
-    # Flush windows left partial by max_tokens truncation.
+    # The last call carries every window still open (filled in the last step,
+    # or left partial by max_tokens), then every beam's full text.
+    flat = [beam for beams in groups for beam in beams]
+    final_texts = iter(lm.step([], [], _window_ids(groups, eos, cfg.similarity_full_beam)
+                               + [[t for t in b.tokens if t != eos] for b in flat])[1])
     for beams in groups:
-        window_rescore(lm, beams, ctx)
+        window_rescore(final_texts, beams, ctx)
 
     # max keeps the first of equal scores: the lowest group, then slot.
-    flat = [beam for beams in groups for beam in beams]
     best = max([b for b in flat if b.finished] or flat, key=lambda b: b.cum_logprob)
-
-    generated = [t for t in best.tokens if t != eos]
     return DecodeResult(
-        text=lm.detokenize(generated),
+        text=list(final_texts)[flat.index(best)],  # an equal beam has equal tokens
         truncated=not best.finished,
         score=best.cum_logprob,
-        tokens=generated,
+        tokens=[t for t in best.tokens if t != eos],
     )

@@ -1,12 +1,13 @@
 """Language-model contract, reference n-gram backend, and remote client.
 
-The decoder only ever needs token log-probabilities for a prefix, so the
-contract is exactly that: tokenize/detokenize plus ``next_logits``, and
-batch forms of the last two that a backend may answer in one round trip.
-The add-one-smoothed n-gram model is the deterministic reference backend
-used throughout the tests; real models sit behind the HTTP wire protocol
-(``/v1/tokenize``, ``/v1/detokenize``, ``/v1/logits``) and may return
-top-k-truncated distributions. All log-probabilities are natural log.
+The decoder only ever needs token log-probabilities for a prefix and the
+texts of the windows it rescores, so the contract is exactly that:
+tokenize/detokenize plus ``next_logits``, and ``step``, both at once for a
+whole decode step, which a backend may answer in one round trip. The
+add-one-smoothed n-gram model is the deterministic reference backend used
+throughout the tests; real models sit behind the HTTP wire protocol
+(``/v1/tokenize``, ``/v1/logits``) and may return top-k-truncated
+distributions. All log-probabilities are natural log.
 """
 
 from __future__ import annotations
@@ -94,14 +95,12 @@ class LmContract(abc.ABC):
     @abc.abstractmethod
     def next_logits(self, prefix: list[TokenId]) -> LmStep: ...
 
-    def next_logits_batch(self, prefix: list[TokenId],
-                          suffixes: list[list[TokenId]]) -> list[LmStep]:
-        """``next_logits`` of ``prefix + suffix`` for each suffix, in order."""
-        return [self.next_logits(prefix + suffix) for suffix in suffixes]
-
-    def detokenize_batch(self, batch: list[list[TokenId]]) -> list[str]:
-        """``detokenize`` of each id list, in order."""
-        return [self.detokenize(ids) for ids in batch]
+    def step(self, prefix: list[TokenId], suffixes: list[list[TokenId]],
+             texts: list[list[TokenId]]) -> tuple[list[LmStep], list[str]]:
+        """``next_logits`` of ``prefix + suffix`` for each suffix, and
+        ``detokenize`` of each id list of ``texts``, each in order."""
+        return ([self.next_logits(prefix + suffix) for suffix in suffixes],
+                [self.detokenize(ids) for ids in texts])
 
 
 class NgramLm(LmContract):
@@ -238,10 +237,11 @@ class RemoteLm(LmContract):
     values raises ``LmProtocolError``. Each thread posts through its own
     ``requests.Session``, and every retried attempt is logged at WARNING.
 
-    A batch is one request; the single-item methods are batches of one.
-    A step the backend sends with a ``floor`` (only allowed when ``top_k``
-    covers the vocabulary) stands for the whole distribution; a step
-    without one lists every id that is possible.
+    ``step`` is one ``/v1/logits`` request; ``next_logits`` and
+    ``detokenize`` are ``step`` calls of one item. A step the backend sends
+    with a ``floor`` (only allowed when ``top_k`` covers the vocabulary)
+    stands for the whole distribution; a step without one lists every id
+    that is possible.
     """
 
     def __init__(self, endpoint: str, top_k: int, *, timeout: float = 30.0,
@@ -305,53 +305,40 @@ class RemoteLm(LmContract):
         return ids
 
     def detokenize(self, ids: list[TokenId]) -> str:
-        return self.detokenize_batch([ids])[0]
-
-    def detokenize_batch(self, batch: list[list[TokenId]]) -> list[str]:
-        if not batch:
-            return []
-        data = self._post("/v1/detokenize", {"batch": [list(ids) for ids in batch]})
-        texts = data.get("texts")
-        if not isinstance(texts, list):
-            raise LmProtocolError("detokenize response missing 'texts' list")
-        if len(texts) != len(batch):
-            raise LmProtocolError(
-                f"detokenize response has {len(texts)} texts for {len(batch)} id lists")
-        if not all(isinstance(text, str) for text in texts):
-            raise LmProtocolError("detokenize response holds a text that is not a string")
-        return texts
+        return self.step([], [], [ids])[1][0]
 
     def next_logits(self, prefix: list[TokenId]) -> LmStep:
         """The next-token distribution the backend reports, top-k truncated or floored."""
-        return self.next_logits_batch(prefix, [[]])[0]
+        return self.step(prefix, [[]], [])[0][0]
 
-    def next_logits_batch(self, prefix: list[TokenId],
-                          suffixes: list[list[TokenId]]) -> list[LmStep]:
+    def step(self, prefix: list[TokenId], suffixes: list[list[TokenId]],
+             texts: list[list[TokenId]]) -> tuple[list[LmStep], list[str]]:
         """One ``/v1/logits`` request; ``prefix`` is sent once for all suffixes."""
-        if not suffixes:
-            return []
-        data = self._post("/v1/logits",
-                          {"prefix": prefix, "suffixes": suffixes, "top_k": self.top_k})
-        for key in ("steps", "eos_id", "vocab_size"):
+        if not (suffixes or texts):
+            return [], []
+        data = self._post("/v1/logits", {"prefix": prefix, "suffixes": suffixes,
+                                         "detokenize": texts, "top_k": self.top_k})
+        for key in ("steps", "texts", "eos_id", "vocab_size"):
             if key not in data:
                 raise LmProtocolError(f"logits response missing field {key!r}")
-        steps = data["steps"]
-        if not isinstance(steps, list) or len(steps) != len(suffixes):
-            got = len(steps) if isinstance(steps, list) else type(steps).__name__
-            raise LmProtocolError(
-                f"logits response has {got} steps for {len(suffixes)} suffixes")
+        for name, asked, per in (("steps", suffixes, "suffixes"), ("texts", texts, "id lists")):
+            items = data[name]
+            if not isinstance(items, list) or len(items) != len(asked):
+                got = len(items) if isinstance(items, list) else type(items).__name__
+                raise LmProtocolError(f"logits response has {got} {name} for {len(asked)} {per}")
+        steps, replied = data["steps"], data["texts"]
+        if not all(isinstance(text, str) for text in replied):
+            raise LmProtocolError("logits response holds a text that is not a string")
         meta = (data["eos_id"], data["vocab_size"])
         if not all(is_integer(value) for value in meta):
             raise LmProtocolError(f"eos_id and vocab_size must be integers, got {meta}")
-        vocab_size = meta[1]
-        parsed = [self._parse_step(step, vocab_size) for step in steps]
+        parsed = [self._parse_step(step, meta[1]) for step in steps]
         if self._meta is None:
             self._meta = meta
         elif meta != self._meta:
             raise LmProtocolError(
-                f"backend changed (eos_id, vocab_size) from {self._meta} to {meta}"
-            )
-        return parsed
+                f"backend changed (eos_id, vocab_size) from {self._meta} to {meta}")
+        return parsed, replied
 
     def _parse_step(self, step: object, vocab_size: int) -> LmStep:
         if (not isinstance(step, dict) or "floor" not in step
@@ -362,8 +349,8 @@ class RemoteLm(LmContract):
             if not isinstance(entry, dict) or "id" not in entry or "logprob" not in entry:
                 raise LmProtocolError(f"malformed token entry: {entry!r}")
             tid, logprob = entry["id"], entry["logprob"]
-            if not is_finite_number(logprob):
-                raise LmProtocolError(f"non-finite logprob for token {tid!r}")
+            if not (is_finite_number(logprob) and logprob <= 0):
+                raise LmProtocolError(f"non-finite or positive logprob for token {tid!r}")
             if not (is_integer(tid) and 0 <= tid < vocab_size):
                 raise LmProtocolError(f"token id {tid!r} outside [0, {vocab_size})")
             if tid in logits:
@@ -376,8 +363,8 @@ class RemoteLm(LmContract):
         floor = step["floor"]
         if floor is None:
             return LmStep(logits)
-        if not is_finite_number(floor):
-            raise LmProtocolError(f"floor must be a finite number or null, got {floor!r}")
+        if not (is_finite_number(floor) and floor <= 0):
+            raise LmProtocolError(f"floor must be a finite number <= 0 or null, got {floor!r}")
         if self.top_k < vocab_size:
             raise LmProtocolError(
                 f"floor sent for top_k={self.top_k} below vocab_size {vocab_size}")
@@ -495,18 +482,17 @@ def _make_handler(lm: LmContract):
                     if not isinstance(text, str):
                         raise TypeError("text must be a string")
                     self._reply(200, {"ids": lm.tokenize(text)})
-                elif self.path == "/v1/detokenize":
-                    batch = _id_lists(payload["batch"], "batch", lm.vocab_size)
-                    self._reply(200, {"texts": lm.detokenize_batch(batch)})
                 elif self.path == "/v1/logits":
                     vocab_size = lm.vocab_size
                     prefix = _id_list(payload["prefix"], "prefix", vocab_size)
                     suffixes = _id_lists(payload["suffixes"], "suffixes", vocab_size)
+                    texts = _id_lists(payload["detokenize"], "detokenize", vocab_size)
                     top_k = payload["top_k"]
                     check_count("top_k", top_k)
+                    steps, texts = lm.step(prefix, suffixes, texts)
                     self._reply(200, {
-                        "steps": [_wire_step(step, top_k, vocab_size)
-                                  for step in lm.next_logits_batch(prefix, suffixes)],
+                        "steps": [_wire_step(step, top_k, vocab_size) for step in steps],
+                        "texts": texts,
                         "eos_id": lm.eos,
                         "vocab_size": vocab_size,
                     })

@@ -9,6 +9,7 @@ implementation of either, so callers bring their own trained models.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
@@ -194,7 +195,7 @@ def _mean_over_extracted(name: str, csr: "CSR",
               if value != NOT_EXTRACTED]
     if not scores:
         raise ValueError(f"{name} undefined: every entry is N/A")
-    return sum(scores) / len(scores)
+    return math.fsum(scores) / len(scores)
 
 
 def evaluation_report(**scores: float | None) -> dict[str, float | None]:

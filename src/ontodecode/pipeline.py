@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -151,7 +152,7 @@ def average_dcf(raw: list[DCF]) -> DCF:
     for dcf in raw:
         all_classes.update(dcf.freq)
     freq = {
-        class_id: sum(dcf.freq.get(class_id, 0.0) for dcf in raw) / len(raw)
+        class_id: math.fsum(dcf.freq.get(class_id, 0.0) for dcf in raw) / len(raw)
         for class_id in sorted(all_classes)
     }
     return DCF(domain="average", freq=freq)

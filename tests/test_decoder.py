@@ -1,5 +1,8 @@
 import dataclasses
+import functools
+import itertools
 import math
+import operator
 import random
 import sys
 
@@ -205,6 +208,40 @@ class TestScoringContext:
         assert len(counted) > 2  # the windows went through the patched counter too
 
 
+# Score groups whose log-softmax comes out differently from a left-to-right
+# float sum (Python 3.10's and 3.11's sum) than from a correctly rounded one.
+# Found by random search; a group of two sums exactly either way.
+_SUM_SENSITIVE = [
+    [13.783, 1.442, 9.399],
+    [6.927, 16.92, 2.631],
+    [4.647, 4.963, 9.007, 0.945],
+    [8.775, 16.402, 0.584, 13.798],
+    [15.721, 0.219, 1.643, 0.687, 14.252],
+    [6.608, 2.898, 1.928, 8.395, 4.592],
+    [1.974, 10.968, 1.975, 11.621, 2.996, 5.123],
+    [4.797, 0.959, 12.55, 13.164, 8.369, 0.38],
+]
+
+
+def _log_softmax_with(total, raw: list[float]) -> list[str]:
+    m = max(raw)
+    lse = m + math.log(total(math.exp(r - m) for r in raw))
+    return [(r - lse).hex() for r in raw]
+
+
+@pytest.mark.parametrize("raw", _SUM_SENSITIVE)
+def test_log_softmax_sums_exactly_on_every_interpreter(raw):
+    left_to_right = functools.partial(functools.reduce, operator.add)
+    assert _log_softmax_with(left_to_right, raw) != _log_softmax_with(math.fsum, raw)
+    assert [v.hex() for v in decoder._log_softmax(raw)] == _log_softmax_with(math.fsum, raw)
+
+
+def _rescore(lm, beams: list[BeamState], ctx: ScoringContext):
+    """``window_rescore`` on the texts ``decode`` asks ``lm`` for."""
+    ids = decoder._window_ids([beams], lm.eos, ctx.cfg.similarity_full_beam)
+    return window_rescore([lm.detokenize(i) for i in ids], beams, ctx)
+
+
 class TestWindowRescore:
     def _beam(self, lm, text: str) -> BeamState:
         tokens = lm.tokenize(text)
@@ -215,7 +252,7 @@ class TestWindowRescore:
         beam = self._beam(lm, "aspirin")
         cfg = _config()
         ctx = ScoringContext.build(medical_ontology, medical_lexicon, None, "", cfg)
-        [breakdown] = window_rescore(lm, [beam], ctx)
+        [breakdown] = _rescore(lm, [beam], ctx)
         assert breakdown.adjusted == 0.0
         assert beam.cum_logprob == -1.0
         assert beam.window_start == len(beam.tokens)
@@ -225,7 +262,7 @@ class TestWindowRescore:
         beams = [self._beam(lm, "aspirin"), self._beam(lm, "banana")]
         cfg = _config(h_bf=2.0)
         ctx = ScoringContext.build(medical_ontology, medical_lexicon, "Drug", "", cfg)
-        results = window_rescore(lm, beams, ctx)
+        results = _rescore(lm, beams, ctx)
         raw = [2.0, 0.0]
         expected = [r - math.log(math.exp(2.0) + 1.0) for r in raw]
         assert results[0].adjusted == pytest.approx(expected[0], abs=1e-9)
@@ -239,7 +276,7 @@ class TestWindowRescore:
         beams = [self._beam(lm, "banana"), self._beam(lm, "orange")]
         ctx = ScoringContext.build(medical_ontology, medical_lexicon, "Drug", "",
                                    _config(h_bf=3.0))
-        results = window_rescore(lm, beams, ctx)
+        results = _rescore(lm, beams, ctx)
         assert results[0].adjusted == pytest.approx(math.log(0.5), abs=1e-12)
         assert results[1].adjusted == pytest.approx(math.log(0.5), abs=1e-12)
 
@@ -248,13 +285,12 @@ class TestWindowRescore:
         beams = [self._beam(lm, t) for t in ("aspirin", "fever", "banana")]
         ctx = ScoringContext.build(medical_ontology, medical_lexicon, "Drug",
                                    "aspirin fever please", _config(h_bf=3, p_bf=10, s_bf=10))
-        results = window_rescore(lm, beams, ctx)
+        results = _rescore(lm, beams, ctx)
         assert sum(math.exp(r.adjusted) for r in results) == pytest.approx(1.0, abs=1e-9)
         assert all(r.adjusted <= 0.0 for r in results)
 
     @pytest.mark.parametrize("full_beam", [False, True])
-    def test_one_detokenize_batch_per_group(self, medical_ontology, medical_lexicon,
-                                            full_beam):
+    def test_window_texts_per_group(self, medical_ontology, medical_lexicon, full_beam):
         lm = ConstantLm(["aspirin", "fever", "banana", "was", "given"], "aspirin")
         beams = [self._beam(lm, "fever was given aspirin"),
                  self._beam(lm, "banana fever aspirin given")]
@@ -267,17 +303,11 @@ class TestWindowRescore:
                                            similarity_full_beam=full_beam))
         windows = ["aspirin", "fever aspirin given"]
         fulls = ["fever was given aspirin", "banana fever aspirin given"]
-        batches = []
-        original = lm.detokenize_batch
-
-        def spy(batch):
-            batches.append(batch)
-            return original(batch)
-
-        lm.detokenize_batch = spy
-        results = window_rescore(lm, beams, ctx)
-        assert [original(batch) for batch in batches] == [windows + fulls if full_beam
-                                                          else windows]
+        ids = decoder._window_ids([beams], lm.eos, full_beam)
+        assert all(lm.eos not in i for i in ids)
+        texts = [lm.detokenize(i) for i in ids]
+        assert texts == (windows + fulls if full_beam else windows)
+        results = window_rescore(texts, beams, ctx)
         for result, window, full in zip(results, windows, fulls):
             want = ctx.scores(window, full if full_beam else None)
             assert (result.hierarchy, result.property, result.similarity) == want
@@ -288,7 +318,7 @@ class TestWindowRescore:
         spent = self._beam(lm, "aspirin")
         spent.window_start = len(spent.tokens)
         ctx = ScoringContext.build(medical_ontology, medical_lexicon, None, "", _config())
-        results = window_rescore(lm, [fresh, spent], ctx)
+        results = _rescore(lm, [fresh, spent], ctx)
         assert results[0] is not None
         assert results[1] is None
         assert spent.cum_logprob == -1.0
@@ -354,28 +384,55 @@ class TestDecode:
                     break
             assert got.text == lm.detokenize([t for t in seq if t != lm.eos])
 
-    def test_one_logits_batch_per_step(self, medical_ontology, medical_lexicon):
+    @pytest.mark.parametrize("full_beam", [False, True])
+    def test_one_step_call_per_step(self, medical_ontology, medical_lexicon, monkeypatch,
+                                    full_beam):
         lm = random_ngram_lm(random.Random(43))
-        batches: list[tuple[list[int], list[list[int]]]] = []
-        original = lm.next_logits_batch
+        calls: list[tuple[list[int], list[list[int]], list[list[int]]]] = []
+        original = lm.step
 
-        def spy(prefix, suffixes):
-            batches.append((list(prefix), [list(s) for s in suffixes]))
-            return original(prefix, suffixes)
+        def spy(prefix, suffixes, texts):
+            calls.append((list(prefix), [list(s) for s in suffixes], [list(t) for t in texts]))
+            return original(prefix, suffixes, texts)
 
-        lm.next_logits_batch = spy
+        rescored: list[list[str]] = []
+
+        def rescore_spy(texts, beams, ctx):
+            # The beams are as they were when their window ids were sent.
+            participants = [b for b in beams if b.window_start < len(b.tokens)]
+            want = [lm.detokenize(b.tokens[b.window_start:]) for b in participants]
+            if full_beam:
+                want += [lm.detokenize(b.tokens) for b in participants]
+            texts = list(itertools.islice(texts, len(want)))
+            assert texts == want
+            rescored.append(texts)
+            return window_rescore(texts, beams, ctx)
+
+        lm.step = spy
+        monkeypatch.setattr(decoder, "window_rescore", rescore_spy)
         cfg = _config(beam_size=4, num_groups=2, diversity_penalty=0.5, window=2,
-                      max_tokens=6)
+                      max_tokens=6, similarity_full_beam=full_beam)
         prompt = lm.detokenize([0, 1, 0])
-        decode(lm, prompt, medical_ontology, medical_lexicon, None, "", cfg)
-        assert batches[0][1] == [[], []]  # one beam per group at the start
-        assert len(batches) <= cfg.max_tokens
-        for step, (prefix, suffixes) in enumerate(batches):
+        result = decode(lm, prompt, medical_ontology, medical_lexicon, None, "", cfg)
+        *steps, (last_prefix, last_suffixes, last_texts) = calls
+        assert steps[0][1:] == ([[], []], [])  # one beam per group, no window yet
+        assert len(steps) <= cfg.max_tokens
+        for step, (prefix, suffixes, texts) in enumerate(steps):
             # The prompt is sent once as the prefix; each suffix is a beam's
             # tokens as the step started from them.
             assert prefix == [0, 1, 0]
             assert [len(s) for s in suffixes] == [step] * len(suffixes)
             assert 1 <= len(suffixes) <= cfg.beam_size
+        # Windows that filled mid-decode rode on a later step's call.
+        assert any(texts for _, _, texts in steps)
+        # The last call asks only for texts: the windows still open, then
+        # every beam's full text.
+        assert (last_prefix, last_suffixes) == ([], [])
+        fulls = last_texts[-cfg.beam_size:]
+        assert result.tokens in fulls and lm.eos not in sum(fulls, [])
+        assert result.text == lm.detokenize(result.tokens)
+        sent = sum(len(texts) for _, _, texts in calls)
+        assert sent == sum(map(len, rescored)) + cfg.beam_size
 
     def test_matches_vanilla_beam_search(self):
         rng = random.Random(29)

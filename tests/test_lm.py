@@ -13,6 +13,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
+from ontodecode.annotator import build_lexicon
+from ontodecode.decoder import DecodeConfig, decode
 from ontodecode.lm import (
     LmProtocolError,
     LmStep,
@@ -22,7 +24,9 @@ from ontodecode.lm import (
     train_ngram,
 )
 
-from conftest import bad_counts, count_error, dense, random_ngram_lm, serving
+from conftest import (
+    bad_counts, count_error, dense, make_ontology, random_ngram_lm, serving,
+)
 
 
 def _per_token_train_ngram(corpus: list[str], n: int) -> NgramLm:
@@ -314,7 +318,8 @@ def test_counts_are_integers_in_range(request, name, value):
     if name == "served top_k":
         _, server = request.getfixturevalue("served_ngram")
         reply = requests.post(server.endpoint + "/v1/logits",
-                              json={"prefix": [], "suffixes": [[]], "top_k": value}, timeout=10)
+                              json={"prefix": [], "suffixes": [[]], "detokenize": [],
+                                    "top_k": value}, timeout=10)
         assert reply.status_code == 400
         assert re.search(count_error("top_k", value), reply.json()["error"])
     else:
@@ -381,20 +386,25 @@ class TestWireProtocol:
         the, dog, cat = lm.tokenize("the dog cat")
         suffixes = [[dog], [cat], []]
         prefixes = [[the] + suffix for suffix in suffixes]
-        steps = remote.next_logits_batch([the], suffixes)
-        assert sent == [{"prefix": [the], "suffixes": [[dog], [cat], []],
+        steps, texts = remote.step([the], suffixes, [])
+        assert sent == [{"prefix": [the], "suffixes": [[dog], [cat], []], "detokenize": [],
                          "top_k": lm.vocab_size}]
         assert [dense(step) for step in steps] == [dense(lm.next_logits(p)) for p in prefixes]
+        assert texts == []
 
         # The client factors out nothing itself: a start the suffixes share
-        # is sent once per suffix.
-        steps = remote.next_logits_batch([], prefixes)
-        assert sent[1] == {"prefix": [], "suffixes": prefixes, "top_k": lm.vocab_size}
+        # is sent once per suffix. The texts ride on the same request.
+        steps, texts = remote.step([], prefixes, prefixes + [[]])
+        assert sent[1] == {"prefix": [], "suffixes": prefixes, "detokenize": prefixes + [[]],
+                           "top_k": lm.vocab_size}
         assert [dense(step) for step in steps] == [dense(lm.next_logits(p)) for p in prefixes]
-
-        texts = remote.detokenize_batch(prefixes + [[]])
-        assert sent[2] == {"batch": prefixes + [[]]}
         assert texts == ["the dog", "the cat", "the", ""]
+
+        steps, texts = remote.step([the], [], [[dog], []])
+        assert sent[2] == {"prefix": [the], "suffixes": [], "detokenize": [[dog], []],
+                           "top_k": lm.vocab_size}
+        assert (steps, texts) == ([], ["dog", ""])
+        assert len(sent) == 3
 
     def test_empty_batches_send_no_request(self, served_ngram, monkeypatch):
         _, server = served_ngram
@@ -404,27 +414,31 @@ class TestWireProtocol:
             raise AssertionError("an empty batch sent a request")
 
         monkeypatch.setattr(requests.Session, "post", post)
-        assert remote.next_logits_batch([], []) == []
-        assert remote.next_logits_batch([1], []) == []
-        assert remote.detokenize_batch([]) == []
+        assert remote.step([], [], []) == ([], [])
+        assert remote.step([1], [], []) == ([], [])
 
     @pytest.mark.parametrize("path, payload", [
-        ("/v1/logits", {"prefix": [], "top_k": 2}),
-        ("/v1/logits", {"prefix": [], "suffixes": [0], "top_k": 2}),
-        ("/v1/logits", {"prefix": [], "suffixes": [[0], "01"], "top_k": 2}),
-        ("/v1/logits", {"prefix": [], "suffixes": "01", "top_k": 2}),
-        ("/v1/logits", {"prefix": 0, "suffixes": [[]], "top_k": 2}),
-        ("/v1/detokenize", {"batch": [0]}),
-        ("/v1/detokenize", {"ids": [0]}),
-        ("/v1/logits", {"prefix": [], "suffixes": [[]]}),
-        ("/v1/logits", {"prefix": [0.7], "suffixes": [[True]], "top_k": 2.9}),
-        ("/v1/logits", {"prefix": [], "suffixes": [[]], "top_k": "2"}),
-        ("/v1/logits", {"prefix": [], "suffixes": [[]], "top_k": True}),
-        ("/v1/logits", {"prefix": [], "suffixes": [[]], "top_k": 0}),
-        ("/v1/logits", {"prefix": [], "suffixes": [[99]], "top_k": 2}),
-        ("/v1/logits", {"prefix": [], "suffixes": [[-1]], "top_k": 2}),
-        ("/v1/logits", {"prefix": [6], "suffixes": [[]], "top_k": 2}),
-        ("/v1/detokenize", {"batch": [[1.9, True]]}),
+        ("/v1/logits", {"prefix": [], "detokenize": [], "top_k": 2}),
+        ("/v1/logits", {"prefix": [], "suffixes": [0], "detokenize": [], "top_k": 2}),
+        ("/v1/logits", {"prefix": [], "suffixes": [[0], "01"], "detokenize": [], "top_k": 2}),
+        ("/v1/logits", {"prefix": [], "suffixes": "01", "detokenize": [], "top_k": 2}),
+        ("/v1/logits", {"prefix": 0, "suffixes": [[]], "detokenize": [], "top_k": 2}),
+        ("/v1/logits", {"prefix": [], "suffixes": [], "detokenize": [0], "top_k": 2}),
+        ("/v1/logits", {"prefix": [], "suffixes": [], "top_k": 2}),
+        ("/v1/logits", {"prefix": [], "suffixes": [], "batch": [[0]], "top_k": 2}),
+        ("/v1/logits", {"prefix": [], "suffixes": [[]], "detokenize": []}),
+        ("/v1/logits", {"prefix": [0.7], "suffixes": [[True]], "detokenize": [],
+                        "top_k": 2.9}),
+        ("/v1/logits", {"prefix": [], "suffixes": [[]], "detokenize": [], "top_k": "2"}),
+        ("/v1/logits", {"prefix": [], "suffixes": [[]], "detokenize": [], "top_k": True}),
+        ("/v1/logits", {"prefix": [], "suffixes": [[]], "detokenize": [], "top_k": 0}),
+        ("/v1/logits", {"prefix": [], "suffixes": [[99]], "detokenize": [], "top_k": 2}),
+        ("/v1/logits", {"prefix": [], "suffixes": [[-1]], "detokenize": [], "top_k": 2}),
+        ("/v1/logits", {"prefix": [6], "suffixes": [[]], "detokenize": [], "top_k": 2}),
+        ("/v1/logits", {"prefix": [], "suffixes": [], "detokenize": [[1.9, True]],
+                        "top_k": 2}),
+        ("/v1/logits", {"prefix": [], "suffixes": [], "detokenize": [[6]], "top_k": 2}),
+        ("/v1/logits", {"prefix": [], "suffixes": [], "detokenize": "01", "top_k": 2}),
         ("/v1/tokenize", {"text": 5}),
         ("/v1/tokenize", {"text": ["the"]}),
         ("/v1/logits", "{not json"),
@@ -440,12 +454,54 @@ class TestWireProtocol:
         assert len(remote.next_logits(lm.tokenize("the")).logits) == 2
         assert remote.detokenize(lm.tokenize("the dog")) == "the dog"
 
-    def test_unknown_path_gets_404(self, served_ngram):
+    def test_served_decode_makes_one_request_per_step(self, served_ngram, monkeypatch):
+        lm, server = served_ngram
+        onto = make_ontology([{"id": "Dog", "label": "dog"}])
+        cfg = DecodeConfig(beam_size=4, num_groups=2, diversity_penalty=0.5, window=2,
+                           max_tokens=6)
+        local_steps = []
+        step = lm.step
+
+        def spy(prefix, suffixes, texts):
+            local_steps.append(len(suffixes))
+            return step(prefix, suffixes, texts)
+
+        monkeypatch.setattr(lm, "step", spy)
+        want = decode(lm, "the", onto, build_lexicon(onto), "Dog", "the dog barks", cfg)
+        monkeypatch.undo()
+        n_steps = len(local_steps) - 1
+        assert n_steps == cfg.max_tokens and local_steps[-1] == 0
+
+        original = requests.Session.post
+        sent = []
+
+        def post(session, url, json=None, **kwargs):
+            sent.append((url.removeprefix(server.endpoint), json))
+            return original(session, url, json=json, **kwargs)
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        remote = RemoteLm(server.endpoint, top_k=lm.vocab_size)
+        assert decode(remote, "the", onto, build_lexicon(onto), "Dog", "the dog barks",
+                      cfg) == want
+        # One tokenize, one logits request per step, and one final request
+        # that asks only for texts.
+        assert [path for path, _ in sent] == ["/v1/tokenize"] + ["/v1/logits"] * (n_steps + 1)
+        *steps, (_, last) = sent[1:]
+        assert all(len(body["suffixes"]) >= 1 for _, body in steps)
+        assert (last["prefix"], last["suffixes"]) == ([], [])
+        assert any(body["detokenize"] for _, body in steps)  # windows rode on steps
+        assert want.tokens in last["detokenize"]
+
+    @pytest.mark.parametrize("path, payload", [
+        ("/v1/generate", {"text": "the"}),
+        # The texts ride on /v1/logits; there is no detokenize endpoint.
+        ("/v1/detokenize", {"batch": [[0]]}),
+    ])
+    def test_unknown_path_gets_404(self, served_ngram, path, payload):
         _, server = served_ngram
-        reply = requests.post(server.endpoint + "/v1/generate", json={"text": "the"},
-                              timeout=10)
+        reply = requests.post(server.endpoint + path, json=payload, timeout=10)
         assert reply.status_code == 404
-        assert reply.json() == {"error": "unknown path '/v1/generate'"}
+        assert reply.json() == {"error": f"unknown path {path!r}"}
 
     def test_bad_content_length_gets_400(self, served_ngram):
         _, server = served_ngram
@@ -552,7 +608,7 @@ class TestRemoteValidation:
 
     def test_passthrough(self):
         body = json.dumps({"steps": [{"tokens": [{"id": 4, "logprob": -0.1}], "floor": None}],
-                           "eos_id": 9, "vocab_size": 10})
+                           "texts": [], "eos_id": 9, "vocab_size": 10})
         step, _ = self.run_against(body)
         assert step.logits == {4: -0.1}
         assert step.truncated
@@ -565,7 +621,7 @@ class TestRemoteValidation:
     @pytest.mark.parametrize("logprob", ["NaN", pytest.param("1" + "0" * 400, id="10**400")])
     def test_nan_logprob_rejected(self, logprob):
         body = ('{"steps": [{"tokens": [{"id": 4, "logprob": %s}], "floor": null}], '
-                '"eos_id": 9, "vocab_size": 10}' % logprob)
+                '"texts": [], "eos_id": 9, "vocab_size": 10}' % logprob)
         with pytest.raises(LmProtocolError, match="non-finite"):
             self.run_against(body)
 
@@ -582,7 +638,7 @@ class TestRemoteValidation:
         {"tokens": 5, "floor": None},
     ])
     def test_malformed_step_rejected(self, step):
-        body = json.dumps({"steps": [step], "eos_id": 9, "vocab_size": 10})
+        body = json.dumps({"steps": [step], "texts": [], "eos_id": 9, "vocab_size": 10})
         with pytest.raises(LmProtocolError, match="malformed logits step"):
             self.run_against(body)
 
@@ -592,7 +648,7 @@ class TestRemoteValidation:
 
     def test_retry_then_succeed(self):
         body = json.dumps({"steps": [{"tokens": [{"id": 0, "logprob": -1.0}], "floor": None}],
-                           "eos_id": 1, "vocab_size": 2})
+                           "texts": [], "eos_id": 1, "vocab_size": 2})
         step, state = self.run_against(body, fail_times=2)
         assert state["hits"] == 3
         assert step.logits == {0: -1.0}
@@ -634,7 +690,7 @@ class TestRemoteValidation:
     @pytest.mark.parametrize("entry", [4, [4, -1.0], None, {"id": 4}, {"logprob": -1.0}])
     def test_token_entry_not_an_id_logprob_object_rejected(self, entry):
         body = json.dumps({"steps": [{"tokens": [entry], "floor": None}],
-                           "eos_id": 9, "vocab_size": 10})
+                           "texts": [], "eos_id": 9, "vocab_size": 10})
         with pytest.raises(LmProtocolError, match="malformed token entry"):
             self.run_against(body)
 
@@ -665,10 +721,10 @@ class TestRemoteValidation:
         with pytest.raises(LmProtocolError,
                            match=f"{n_steps} steps for {len(prefixes)} suffixes"):
             self.run_against(_logits_body([0], steps=n_steps),
-                             call=lambda remote: remote.next_logits_batch([], prefixes))
+                             call=lambda remote: remote.step([], prefixes, []))
 
     def test_steps_not_a_list_rejected(self):
-        body = json.dumps({"steps": {"tokens": []}, "eos_id": 9, "vocab_size": 10})
+        body = json.dumps({"steps": {"tokens": []}, "texts": [], "eos_id": 9, "vocab_size": 10})
         with pytest.raises(LmProtocolError, match="dict steps for 1 suffixes"):
             self.run_against(body)
 
@@ -695,39 +751,71 @@ class TestRemoteValidation:
     @pytest.mark.parametrize("floor", ['"-1.0"', "true", "[]", "NaN", "Infinity", "-Infinity",
                                        pytest.param("1" + "0" * 400, id="10**400")])
     def test_floor_not_a_finite_number_rejected(self, floor):
-        body = ('{"steps": [{"tokens": [], "floor": %s}], "eos_id": 9, "vocab_size": 10}'
-                % floor)
+        body = ('{"steps": [{"tokens": [], "floor": %s}], "texts": [], "eos_id": 9, '
+                '"vocab_size": 10}' % floor)
         with pytest.raises(LmProtocolError, match="floor must be a finite number"):
             self.run_against(body, top_k=10)
+
+    @pytest.mark.parametrize("value", [1e-9, 0.5, 1])
+    @pytest.mark.parametrize("field", ["logprob", "floor"])
+    def test_log_prob_above_zero_rejected(self, field, value):
+        # A probability is at most 1, so a log-prob above 0 is a broken reply.
+        body = (_logits_body([4], floor=value) if field == "floor" else json.dumps(
+            {"steps": [{"tokens": [{"id": 4, "logprob": value}], "floor": None}],
+             "texts": [], "eos_id": 9, "vocab_size": 10}))
+        match = ("floor must be a finite number <= 0 or null" if field == "floor"
+                 else "non-finite or positive logprob for token 4")
+        with pytest.raises(LmProtocolError, match=re.escape(match)):
+            self.run_against(body, top_k=10)
+
+    @pytest.mark.parametrize("value", [0.0, 0, -0.0])
+    def test_log_prob_of_zero_accepted(self, value):
+        step, _ = self.run_against(_logits_body([4], floor=value), top_k=10)
+        assert step == LmStep({4: -1.0}, 0.0, 10)
+        step, _ = self.run_against(json.dumps(
+            {"steps": [{"tokens": [{"id": 4, "logprob": value}], "floor": None}],
+             "texts": [], "eos_id": 9, "vocab_size": 10}))
+        assert step == LmStep({4: 0.0})
 
     def test_floor_below_full_vocabulary_top_k_rejected(self):
         with pytest.raises(LmProtocolError, match="floor sent for top_k=9"):
             self.run_against(_logits_body([0], floor=-2.0), top_k=9)
 
-    def test_detokenize_passthrough(self):
-        texts, _ = self.run_against(json.dumps({"texts": ["a b", ""]}),
-                                    call=lambda remote: remote.detokenize_batch([[0, 1], []]))
-        assert texts == ["a b", ""]
+    def test_texts_passthrough(self):
+        (steps, texts), _ = self.run_against(
+            _logits_body([0], steps=0, texts=["a b", ""]),
+            call=lambda remote: remote.step([], [], [[0, 1], []]))
+        assert (steps, texts) == ([], ["a b", ""])
 
-    @pytest.mark.parametrize("body, match", [
-        ({"texts": ["a"]}, "1 texts for 2 id lists"),
-        ({"texts": ["a", "b", "c"]}, "3 texts for 2 id lists"),
-        ({"texts": ["a", 1]}, "not a string"),
-        ({"texts": ["a", None]}, "not a string"),
-        ({"texts": "a b"}, "missing 'texts' list"),
-        ({"text": "a b"}, "missing 'texts' list"),
-        (["a", "b"], "not a JSON object"),
+    @pytest.mark.parametrize("texts, match", [
+        (["a"], "1 texts for 2 id lists"),
+        (["a", "b", "c"], "3 texts for 2 id lists"),
+        (["a", 1], "not a string"),
+        (["a", None], "not a string"),
+        ("a b", "str texts for 2 id lists"),
+        (None, "NoneType texts for 2 id lists"),
     ])
-    def test_bad_detokenize_reply_rejected(self, body, match):
+    def test_bad_texts_reply_rejected(self, texts, match):
         with pytest.raises(LmProtocolError, match=match):
-            self.run_against(json.dumps(body),
-                             call=lambda remote: remote.detokenize_batch([[0], [1]]))
+            self.run_against(_logits_body([0], steps=0, texts=texts),
+                             call=lambda remote: remote.step([], [], [[0], [1]]))
+
+    def test_reply_without_texts_rejected(self):
+        body = json.dumps({"steps": [], "eos_id": 9, "vocab_size": 10})
+        with pytest.raises(LmProtocolError, match="missing field 'texts'"):
+            self.run_against(body, call=lambda remote: remote.detokenize([0]))
+
+    def test_texts_reply_not_an_object_rejected(self):
+        with pytest.raises(LmProtocolError, match="not a JSON object"):
+            self.run_against(json.dumps(["a", "b"]),
+                             call=lambda remote: remote.step([], [], [[0], [1]]))
 
 
 def _logits_body(ids: list[int], eos_id: int = 9, vocab_size: int = 10,
-                 floor: float | None = None, steps: int = 1) -> str:
+                 floor: float | None = None, steps: int = 1, texts: object = ()) -> str:
     step = {"tokens": [{"id": i, "logprob": -1.0} for i in ids], "floor": floor}
-    return json.dumps({"steps": [step] * steps, "eos_id": eos_id, "vocab_size": vocab_size})
+    return json.dumps({"steps": [step] * steps, "texts": texts, "eos_id": eos_id,
+                       "vocab_size": vocab_size})
 
 
 def _scripted_server(bodies: list[str]):

@@ -46,6 +46,13 @@ def dense_next_logits(lm, prefix):
     }
 
 
+def _rescore(lm, beams, ctx):
+    """``window_rescore`` on each window's text from ``lm.detokenize``."""
+    texts = [lm.detokenize([t for t in b.tokens[b.window_start:] if t != lm.eos])
+             for b in beams if b.window_start < len(b.tokens)]
+    return window_rescore(texts, beams, ctx)
+
+
 def reference_decode(lm, next_logits, prompt, onto, lex, base, note, cfg):
     """``decode`` with the full sort over every (beam, token) pair."""
     if base is not None and base not in onto:
@@ -99,10 +106,10 @@ def reference_decode(lm, next_logits, prompt, onto, lex, base, note, cfg):
             window_full = active and (len(active[0].tokens) - active[0].window_start
                                       >= cfg.window)
             if window_full or not active:
-                window_rescore(lm, new_beams, ctx)
+                _rescore(lm, new_beams, ctx)
 
     for beams in groups:
-        window_rescore(lm, beams, ctx)
+        _rescore(lm, beams, ctx)
 
     ranked = []
     for g, beams in enumerate(groups):
@@ -240,8 +247,9 @@ def test_served_logits_body_matches_dense_ranking(monkeypatch):
             ]
             for prefix, suffixes in batches:
                 sent.clear()
-                steps = remote.next_logits_batch(prefix, suffixes)
-                assert sent == [{"prefix": prefix, "suffixes": suffixes, "top_k": top_k}]
+                steps, _ = remote.step(prefix, suffixes, [])
+                assert sent == [{"prefix": prefix, "suffixes": suffixes, "detokenize": [],
+                                 "top_k": top_k}]
                 assert len(steps) == len(suffixes)
                 for suffix, step in zip(suffixes, steps):
                     want = dense_next_logits(lm, prefix + suffix)
@@ -255,7 +263,7 @@ def test_served_logits_body_matches_dense_ranking(monkeypatch):
                         assert list(got) == list(want)
                         assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
             sent.clear()
-            assert remote.next_logits_batch(shared, []) == []
+            assert remote.step(shared, [], []) == ([], [])
             assert sent == []
 
 

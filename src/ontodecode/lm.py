@@ -170,32 +170,32 @@ def train_ngram(corpus: list[str], n: int) -> NgramLm:
         raise ValueError("training corpus must be non-empty")
     check_count("order", n)
 
-    ids: dict[str, int] = {}
+    # Each gram is its context words plus the word, counted in corpus order
+    # by Counter.update in C: first the grams that start a document with a
+    # context shorter than n - 1, then every full n-gram. A document shorter
+    # than n has no full n-gram, so its n slices are skipped.
+    grams: Counter[tuple[str, ...]] = Counter()
     for doc in corpus:
-        for word in doc.split():
-            ids.setdefault(word, len(ids))
-    words = list(ids)
+        words = doc.split()
+        grams.update(tuple(words[:t + 1]) for t in range(min(n - 1, len(words))))
+        if n <= len(words):
+            grams.update(zip(*(words[i:] for i in range(n))))
 
-    # Each gram is its context ids plus the token id, counted in corpus
-    # order by Counter.update in C: first the grams that start a document
-    # with a context shorter than n - 1, then every full n-gram. Documents
-    # are split one at a time, so that no more than one is held as ids. A
-    # document shorter than n has no full n-gram, so its n slices are skipped.
-    grams: Counter[tuple[TokenId, ...]] = Counter()
-    for doc in corpus:
-        sequence = list(map(ids.__getitem__, doc.split()))
-        grams.update(tuple(sequence[:t + 1]) for t in range(min(n - 1, len(sequence))))
-        if n <= len(sequence):
-            grams.update(zip(*(sequence[i:] for i in range(n))))
+    # A word's first occurrence ends a gram not seen before, so the grams'
+    # last words, in the Counter's first-insertion order, are the
+    # vocabulary in first-occurrence order.
+    words = list(dict.fromkeys(gram[-1] for gram in grams))
+    ids = {word: i for i, word in enumerate(words)}
 
     # Folding the unique grams keeps each context's and each follower's
-    # first-occurrence order, since a Counter keeps first-insertion order.
+    # first-occurrence order.
     context_totals: dict[tuple[TokenId, ...], int] = {}
     follower_counts: dict[tuple[TokenId, ...], Counter] = {}
     for gram, count in grams.items():
-        context = gram[:-1]
+        gram_ids = tuple(map(ids.__getitem__, gram))
+        context = gram_ids[:-1]
         context_totals[context] = context_totals.get(context, 0) + count
-        follower_counts.setdefault(context, Counter())[gram[-1]] = count
+        follower_counts.setdefault(context, Counter())[gram_ids[-1]] = count
 
     # Plain dicts, so that a lookup of an unseen context never inserts it.
     return NgramLm(words, n, context_totals, follower_counts)
@@ -391,7 +391,7 @@ class RemoteLm(LmContract):
 
 
 class LmServer:
-    """Threaded HTTP server exposing an ``LmContract`` over the wire protocol."""
+    """Threaded HTTP/1.1 server exposing an ``LmContract`` over the wire protocol."""
 
     def __init__(self, lm: LmContract, host: str = "127.0.0.1", port: int = 0):
         self.httpd = ThreadingHTTPServer((host, port), _make_handler(lm))
@@ -444,8 +444,9 @@ def _wire_step(step: LmStep, top_k: int, vocab_size: int) -> dict:
 
 
 def _id_list(value: object, what: str, vocab_size: int) -> list[TokenId]:
-    if not (isinstance(value, list)
-            and all(is_integer(i) and 0 <= i < vocab_size for i in value)):
+    # C-level passes; the exact type test keeps a JSON true from being an id.
+    if not (isinstance(value, list) and (not value or (
+            {*map(type, value)} == {int} and 0 <= min(value) and max(value) < vocab_size))):
         raise ValueError(f"{what} must be a list of token ids in [0, {vocab_size})")
     return value
 
@@ -458,6 +459,11 @@ def _id_lists(value: object, what: str, vocab_size: int) -> list[list[TokenId]]:
 
 def _make_handler(lm: LmContract):
     class Handler(BaseHTTPRequestHandler):
+        # Keep-alive. Without Nagle's algorithm the body, written after the
+        # headers, does not wait for the client's delayed ACK.
+        protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True
+
         def log_message(self, fmt, *args):  # noqa: N802 - stdlib signature
             logger.debug("lm server: " + fmt, *args)
 
@@ -466,13 +472,21 @@ def _make_handler(lm: LmContract):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if status != 200:
+                # Ends the connection, so that a body left unread is never
+                # parsed as the next request.
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
         def do_POST(self):  # noqa: N802 - stdlib signature
+            length = self.headers.get("Content-Length", "").strip()
+            if not (length.isascii() and length.isdigit()):
+                self._reply(400, {"error": f"Content-Length must be a byte count, "
+                                           f"got {length!r}"})
+                return
             try:
-                length = int(self.headers.get("Content-Length", 0))
-                payload = json.loads(self.rfile.read(length).decode("utf-8"))
+                payload = json.loads(self.rfile.read(int(length)).decode("utf-8"))
             except (ValueError, UnicodeDecodeError) as exc:
                 self._reply(400, {"error": f"unreadable JSON request body: {exc}"})
                 return

@@ -1,3 +1,4 @@
+import gc
 import http.client
 import json
 import logging
@@ -5,14 +6,17 @@ import math
 import pickle
 import random
 import re
+import socket
 import sys
 import threading
+import time
 from collections import Counter, defaultdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
 
+from ontodecode import cli
 from ontodecode.annotator import build_lexicon
 from ontodecode.decoder import DecodeConfig, decode
 from ontodecode.lm import (
@@ -21,6 +25,8 @@ from ontodecode.lm import (
     LmUnavailableError,
     NgramLm,
     RemoteLm,
+    _id_list,
+    is_integer,
     train_ngram,
 )
 
@@ -47,6 +53,27 @@ def _per_token_train_ngram(corpus: list[str], n: int) -> NgramLm:
     return NgramLm(words, n, dict(context_totals), dict(follower_counts))
 
 
+def _id_counting_train_ngram(corpus: list[str], n: int) -> NgramLm:
+    """The id-counting ``train_ngram`` that now counts word grams, kept as its oracle."""
+    ids: dict[str, int] = {}
+    for doc in corpus:
+        for word in doc.split():
+            ids.setdefault(word, len(ids))
+    grams: Counter = Counter()
+    for doc in corpus:
+        sequence = list(map(ids.__getitem__, doc.split()))
+        grams.update(tuple(sequence[:t + 1]) for t in range(min(n - 1, len(sequence))))
+        if n <= len(sequence):
+            grams.update(zip(*(sequence[i:] for i in range(n))))
+    context_totals: dict = {}
+    follower_counts: dict = {}
+    for gram, count in grams.items():
+        context = gram[:-1]
+        context_totals[context] = context_totals.get(context, 0) + count
+        follower_counts.setdefault(context, Counter())[gram[-1]] = count
+    return NgramLm(list(ids), n, context_totals, follower_counts)
+
+
 class TestTrainNgram:
     @pytest.mark.parametrize("seed", range(40))
     def test_model_pickles_as_the_per_token_loop(self, seed):
@@ -59,6 +86,17 @@ class TestTrainNgram:
         for n in range(1, 6):
             assert (pickle.dumps(train_ngram(corpus, n).__dict__)
                     == pickle.dumps(_per_token_train_ngram(corpus, n).__dict__))
+
+    def test_model_pickles_as_the_id_counting_loop(self):
+        # Pickled dicts keep insertion order, so every order is compared too.
+        rng = random.Random(28)
+        for _ in range(300):
+            words = [f"w{i}" for i in range(rng.randint(1, 8))]
+            corpus = [" ".join(rng.choice(words) for _ in range(rng.choice([0, 1, 2, 3, 12])))
+                      for _ in range(rng.randint(1, 5))]
+            for n in range(1, 6):
+                assert (pickle.dumps(train_ngram(corpus, n).__dict__)
+                        == pickle.dumps(_id_counting_train_ngram(corpus, n).__dict__)), corpus
 
     def test_contexts_and_followers_keep_first_occurrence_order(self):
         # a=0, b=1, c=2. Sorted order, or every document's short contexts
@@ -350,6 +388,40 @@ def test_zero_backoff_and_float_timeout_are_allowed(served_ngram):
     assert dense(remote.next_logits([])) == dense(lm.next_logits([]))
 
 
+def _connections(server, monkeypatch) -> tuple[list, list]:
+    """The sockets ``server`` accepts from now on, and those it has closed."""
+    accepted, closed = [], []
+    process, shutdown = server.httpd.process_request, server.httpd.shutdown_request
+
+    def process_spy(request, client_address):
+        accepted.append(request)
+        process(request, client_address)
+
+    def shutdown_spy(request):
+        shutdown(request)
+        closed.append(request)
+
+    monkeypatch.setattr(server.httpd, "process_request", process_spy)
+    monkeypatch.setattr(server.httpd, "shutdown_request", shutdown_spy)
+    return accepted, closed
+
+
+def _raw_reply(server, request: bytes) -> bytes:
+    """All that ``server`` sends on one new connection after ``request``, up to EOF."""
+    with socket.create_connection((server.host, server.port), timeout=2) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _per_id_rule(value: object, vocab_size: int) -> bool:
+    """The per-id check ``_id_list`` replaced, kept as its oracle."""
+    return isinstance(value, list) and all(is_integer(i) and 0 <= i < vocab_size
+                                           for i in value)
+
+
 class TestWireProtocol:
     def test_tokenize_detokenize_roundtrip(self, served_ngram):
         lm, server = served_ngram
@@ -491,6 +563,101 @@ class TestWireProtocol:
         assert (last["prefix"], last["suffixes"]) == ([], [])
         assert any(body["detokenize"] for _, body in steps)  # windows rode on steps
         assert want.tokens in last["detokenize"]
+
+    def test_served_decode_uses_one_connection(self, served_ngram, monkeypatch):
+        lm, server = served_ngram
+        onto = make_ontology([{"id": "Dog", "label": "dog"}])
+        # Every step of this decode runs to max_tokens (see the test above).
+        cfg = DecodeConfig(beam_size=4, num_groups=2, diversity_penalty=0.5, window=2,
+                           max_tokens=6)
+        original = requests.Session.post
+        paths = []
+
+        def post(session, url, **kwargs):
+            paths.append(url.removeprefix(server.endpoint))
+            return original(session, url, **kwargs)
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        accepted, _ = _connections(server, monkeypatch)
+        remote = RemoteLm(server.endpoint, top_k=lm.vocab_size)
+        decode(remote, "the", onto, build_lexicon(onto), "Dog", "the dog barks", cfg)
+        assert paths == ["/v1/tokenize"] + ["/v1/logits"] * (cfg.max_tokens + 1)
+        assert len(accepted) == 1
+
+    def test_accepted_socket_sends_without_delay(self, served_ngram, monkeypatch):
+        lm, server = served_ngram
+        accepted, _ = _connections(server, monkeypatch)
+        remote = RemoteLm(server.endpoint, top_k=2)
+        assert remote.tokenize("the dog") == lm.tokenize("the dog")
+        (sock,) = accepted
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_served_summarize_leaves_no_connection_open(self, fixture_tree, tmp_path,
+                                                        monkeypatch, capsys, jobs):
+        lines = fixture_tree["lm_corpus"].read_text(encoding="utf-8").splitlines()
+        lm = train_ngram([line for line in lines if line.strip()], 2)
+        with serving(lm) as server:
+            accepted, closed = _connections(server, monkeypatch)
+            # With the collector off, only reference counting can close the
+            # sessions of the RemoteLm that main drops.
+            gc_was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                code = cli.main([
+                    "summarize", str(fixture_tree["admission"]), "--domain", "cardio",
+                    "--config", str(fixture_tree["config"]), "--jobs", jobs,
+                    "--set", f"output_dir={tmp_path / 'out'}", "--set", "lm.kind=remote",
+                    "--set", f"lm.endpoint={server.endpoint}",
+                    "--set", f"lm.top_k={lm.vocab_size}"])
+                assert code == 0, capsys.readouterr().err
+                # One connection per thread that posts: main's, and each worker's.
+                assert 1 <= len(accepted) <= (1 if jobs == "1" else 1 + int(jobs))
+                deadline = time.monotonic() + 5
+                while len(closed) < len(accepted) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert sorted(map(id, closed)) == sorted(map(id, accepted))
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
+
+    @pytest.mark.parametrize("value", [
+        True, False, 1.0, -1, 2, 10 ** 400, -10 ** 400, "3", [1], None, [], {}, 0, 1])
+    def test_id_list_equals_the_per_id_rule(self, value):
+        vocab_size = 2
+        valid = [1, 0, 1]
+        cases = [value] + [valid[:pos] + [value] + valid[pos:length]
+                           for length in range(len(valid) + 1) for pos in range(length + 1)]
+        for case in cases:
+            case = json.loads(json.dumps(case))  # the values a request body can hold
+            if _per_id_rule(case, vocab_size):
+                assert _id_list(case, "ids", vocab_size) is case
+            else:
+                with pytest.raises(ValueError, match=re.escape("ids must be a list of token "
+                                                               "ids in [0, 2)")):
+                    _id_list(case, "ids", vocab_size)
+
+    @pytest.mark.parametrize("path, length, body, status", [
+        ("/v1/tokenize", "-1", b'{"text": "the"}', 400),
+        ("/v1/tokenize", None, b'{"text": "the"}', 400),
+        ("/v1/tokenize", "abc", b'{"text": "the"}', 400),
+        ("/v1/tokenize", "15", b'{"text": "the"]', 400),
+        ("/v1/generate", "15", b'{"text": "the"}', 404),
+    ])
+    def test_error_reply_ends_the_connection(self, served_ngram, capfd,
+                                             path, length, body, status):
+        lm, server = served_ngram
+        headers = "" if length is None else f"Content-Length: {length}\r\n"
+        reply = _raw_reply(server, f"POST {path} HTTP/1.1\r\nHost: lm\r\n{headers}\r\n"
+                                   .encode("ascii") + body)
+        # Exactly one reply, then EOF: a body left unread is never taken
+        # for a second request.
+        assert re.findall(rb"HTTP/1\.[01] (\d{3})", reply) == [str(status).encode("ascii")]
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(payload)["error"]
+        assert capfd.readouterr().err == ""
+        assert RemoteLm(server.endpoint, top_k=2).tokenize("the dog") == lm.tokenize("the dog")
 
     @pytest.mark.parametrize("path, payload", [
         ("/v1/generate", {"text": "the"}),

@@ -29,7 +29,10 @@ from typing import Any, Callable, Iterable, Iterator
 from . import metrics
 from .annotator import annotate, build_lexicon
 from .decoder import DecodeConfig
-from .lm import LmContract, LmServer, NgramLm, RemoteLm, check_count, is_integer, train_ngram
+from .lm import (
+    LmContract, LmServer, NgramLm, RemoteLm, check_count, check_endpoint, is_integer,
+    train_ngram,
+)
 from .ontology import Ontology, load_ontology
 from .pipeline import (
     CSR,
@@ -171,6 +174,8 @@ def _checked_config(args: argparse.Namespace) -> dict:
     with _config_values("lm"):
         check_count("order", config["lm"]["order"])
         check_count("top_k", config["lm"]["top_k"])
+        if config["lm"]["endpoint"] is not None:
+            check_endpoint(config["lm"]["endpoint"])
     with _config_values("dcf"):
         check_dcf_options(config["dcf"]["min_occ"], config["dcf"]["count"])
     with _config_values("prune"):

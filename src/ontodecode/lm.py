@@ -13,20 +13,24 @@ distributions. All log-probabilities are natural log.
 from __future__ import annotations
 
 import abc
+import contextlib
 import heapq
+import http.client
 import itertools
 import json
 import logging
 import math
+import selectors
+import socket
 import sys
 import threading
 import time
+import urllib.parse
+import weakref
 from collections import Counter
 from collections.abc import Container, Iterator
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-import requests
 
 logger = logging.getLogger(__name__)
 
@@ -205,7 +209,7 @@ def train_ngram(corpus: list[str], n: int) -> NgramLm:
 # Remote backend (HTTP wire protocol)
 # --------------------------------------------------------------------------
 
-_TRANSIENT = (requests.exceptions.ConnectionError, requests.exceptions.Timeout)
+_TRANSIENT = (OSError, http.client.HTTPException)
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -228,6 +232,27 @@ def check_count(name: str, value: object, low: int = 1) -> None:
         raise ValueError(f"{name} must be an integer in [{low}, {sys.maxsize}], got {value!r}")
 
 
+def _readable(sock: socket.socket) -> bool:
+    """Whether ``sock`` has bytes or an EOF to read now: on an idle connection, a drop."""
+    with selectors.DefaultSelector() as selector:
+        selector.register(sock, selectors.EVENT_READ)
+        return bool(selector.select(0))
+
+
+def check_endpoint(endpoint: object) -> urllib.parse.SplitResult:
+    """Raise ``ValueError`` unless ``endpoint`` is an http(s) URL of a host, an
+    optional port and an optional path, in printable ASCII; return its parts."""
+    text = endpoint if isinstance(endpoint, str) else ""
+    parts = urllib.parse.urlsplit(text)
+    if not (parts.scheme in ("http", "https") and parts.hostname and text.isascii()
+            and text.isprintable() and " " not in text and "@" not in parts.netloc
+            and not (parts.query or parts.fragment)):
+        raise ValueError("endpoint must be http:// or https://, a host, an optional port "
+                         f"and an optional path, got {endpoint!r}")
+    parts.port  # noqa: B018 - raises ValueError for a port outside [0, 65535]
+    return parts
+
+
 class RemoteLm(LmContract):
     """Client for a backend speaking the HTTP wire protocol.
 
@@ -235,7 +260,7 @@ class RemoteLm(LmContract):
     and are cached; accessing them before any call triggers one probe
     request with an empty prefix. A later response that reports different
     values raises ``LmProtocolError``. Each thread posts through its own
-    ``requests.Session``, and every retried attempt is logged at WARNING.
+    kept-alive connection, and every retried attempt is logged at WARNING.
 
     ``step`` is one ``/v1/logits`` request; ``next_logits`` and
     ``detokenize`` are ``step`` calls of one item. A step the backend sends
@@ -246,6 +271,7 @@ class RemoteLm(LmContract):
 
     def __init__(self, endpoint: str, top_k: int, *, timeout: float = 30.0,
                  retries: int = 3, backoff: float = 0.1):
+        parts = check_endpoint(endpoint)
         check_count("top_k", top_k)
         check_count("retries", retries)
         if not (is_finite_number(timeout) and timeout > 0):
@@ -257,33 +283,58 @@ class RemoteLm(LmContract):
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
+        connection = (http.client.HTTPSConnection if parts.scheme == "https"
+                      else http.client.HTTPConnection)
+        self._connect = lambda: connection(parts.hostname, parts.port, timeout=timeout)
+        self._path, self._host = parts.path.rstrip("/"), parts.netloc
+        # Each thread's connection, closed once dropped: when it is replaced, or
+        # when its thread or the client ends.
         self._local = threading.local()
         # (eos_id, vocab_size), set in one assignment so that threads
         # sharing the client never see half of it.
         self._meta: tuple[TokenId, int] | None = None
 
+    def _exchange(self, path: str, body: bytes) -> tuple[int, bytes]:
+        """One request on this thread's connection, headers and body in one
+        write: the reply's status and body. A connection that the server
+        closed while idle, or that the last reply ended, is replaced."""
+        conn = getattr(self._local, "conn", None)
+        try:
+            if conn is None or conn.sock is None or _readable(conn.sock):
+                conn = self._local.conn = self._connect()
+                conn.connect()  # sets TCP_NODELAY
+                weakref.finalize(conn, conn.sock.close)
+            conn.sock.sendall(f"POST {self._path}{path} HTTP/1.1\r\nHost: {self._host}\r\n"
+                              "Content-Type: application/json\r\n"
+                              f"Content-Length: {len(body)}\r\n\r\n".encode("ascii") + body)
+            response = http.client.HTTPResponse(conn.sock, method="POST")
+            response.begin()
+            reply = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        return response.status, reply
+
     def _post(self, path: str, payload: dict) -> dict:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
         url = self.endpoint + path
+        body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(1, self.retries + 1):
             try:
-                response = session.post(url, json=payload, timeout=self.timeout)
-                status = response.status_code
+                status, reply = self._exchange(path, body)
                 if status == 200:
                     try:
-                        data = response.json()
+                        data = json.loads(reply)
                     except ValueError as exc:
                         raise LmProtocolError(f"{url}: response is not JSON") from exc
                     if not isinstance(data, dict):
                         raise LmProtocolError(f"{url}: response is not a JSON object")
                     return data
                 if status < 500:
-                    raise LmProtocolError(
-                        f"{url}: unexpected status {status}: {response.text[:200]}"
-                    )
+                    raise LmProtocolError(f"{url}: unexpected status {status}: "
+                                          f"{reply.decode('utf-8', 'replace')[:200]}")
                 last_error = LmUnavailableError(f"{url}: server error {status}")
             except _TRANSIENT as exc:
                 last_error = exc
@@ -394,7 +445,7 @@ class LmServer:
     """Threaded HTTP/1.1 server exposing an ``LmContract`` over the wire protocol."""
 
     def __init__(self, lm: LmContract, host: str = "127.0.0.1", port: int = 0):
-        self.httpd = ThreadingHTTPServer((host, port), _make_handler(lm))
+        self.httpd = _HttpServer((host, port), _make_handler(lm))
 
     @property
     def host(self) -> str:
@@ -413,7 +464,34 @@ class LmServer:
 
     def shutdown(self) -> None:
         self.httpd.shutdown()
+        # Ends each kept-alive connection: its client reads EOF, and so does
+        # its handler, which then closes it.
+        for sock in self.httpd.accepted.copy():
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
         self.httpd.server_close()
+
+
+class _HttpServer(ThreadingHTTPServer):
+    """Tracks its open sockets for ``LmServer.shutdown``; a client that left early is no error."""
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self.accepted: set[socket.socket] = set()
+
+    def process_request(self, request, client_address):
+        self.accepted.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        self.accepted.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        if isinstance(sys.exc_info()[1], (BrokenPipeError, ConnectionResetError)):
+            logger.debug("lm server: %s left early", client_address)
+        else:
+            super().handle_error(request, client_address)
 
 
 def _rank_key(entry: tuple[TokenId, float]) -> tuple[float, TokenId]:

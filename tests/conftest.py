@@ -105,7 +105,9 @@ def dense(step: LmStep) -> dict[int, float]:
 def serving(lm: LmContract) -> Iterator[LmServer]:
     """An ``LmServer`` for ``lm`` on loopback, served by a daemon thread until the block ends."""
     server = LmServer(lm)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval, so that shutdown() returns at once.
+    thread = threading.Thread(target=server.httpd.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     try:
         yield server

@@ -583,6 +583,12 @@ class TestConfigErrors:
         ("summarize {admission} --domain cardio --config {config} --set lm.kind=remote"
          " --set lm.endpoint=http://127.0.0.1:9 --set lm.top_k=0",
          f"invalid lm configuration: top_k must be an integer in [1, {sys.maxsize}], got 0"),
+        *((f"summarize {{admission}} --domain cardio --config {{config}} --set lm.kind={kind}"
+           f" --set lm.endpoint={endpoint}",
+           "invalid lm configuration: endpoint must be http:// or https://, a host, an "
+           f"optional port and an optional path, got {endpoint!r}")
+          for kind in ("remote", "ngram")
+          for endpoint in ("localhost:8000", "ftp://x/", "http://")),
         ("summarize {admission} --domain cardio --config {config} --jobs 0",
          "--jobs must be >= 1, got 0"),
         ("summarize {admission} --domain cardio --config {config} --jobs -3",

@@ -1,13 +1,15 @@
-"""The package imports nothing but the standard library and ``requests``."""
+"""The package imports nothing but the standard library."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "ontodecode").glob("*.py"))
-ALLOWED = sys.stdlib_module_names | {"requests", "ontodecode"}
+ALLOWED = sys.stdlib_module_names | {"ontodecode"}
 
 
 def _imported_roots(path: Path) -> set[str]:
@@ -26,5 +28,15 @@ def test_sources_found():
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
-def test_imports_only_the_standard_library_and_requests(path):
+def test_imports_only_the_standard_library(path):
     assert sorted(_imported_roots(path) - ALLOWED) == []
+
+
+def test_cli_import_loads_no_third_party_http_client():
+    src = str(SOURCES[0].parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, ontodecode.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"

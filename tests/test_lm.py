@@ -373,9 +373,9 @@ _BAD_WAITS = [0, -1.0, math.nan, math.inf, True, "1"]
     *(("backoff", ">= 0", value) for value in _BAD_WAITS[1:]),  # a backoff of 0 waits not at all
 ], ids=repr)
 def test_timeout_and_backoff_are_checked_before_any_request(monkeypatch, name, bound, value):
-    # They failed only at the first request, with requests' or time.sleep's message.
+    # They failed only at the first request, with the HTTP client's or time.sleep's message.
     posts = []
-    monkeypatch.setattr(requests.Session, "post", lambda *args, **kwargs: posts.append(args))
+    monkeypatch.setattr(RemoteLm, "_post", lambda *args: posts.append(args))
     message = f"{name} must be a finite number {bound}, got {value!r}"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         RemoteLm("http://127.0.0.1:9", top_k=1, **{name: value})
@@ -404,6 +404,13 @@ def _connections(server, monkeypatch) -> tuple[list, list]:
     monkeypatch.setattr(server.httpd, "process_request", process_spy)
     monkeypatch.setattr(server.httpd, "shutdown_request", shutdown_spy)
     return accepted, closed
+
+
+def _until(condition, timeout: float = 5.0) -> None:
+    """Wait until ``condition()`` holds, for at most ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
 def _raw_reply(server, request: bytes) -> bytes:
@@ -447,14 +454,14 @@ class TestWireProtocol:
     def test_batch_sends_the_given_prefix_once(self, served_ngram, monkeypatch):
         lm, server = served_ngram
         remote = RemoteLm(server.endpoint, top_k=lm.vocab_size)
-        original = requests.Session.post
+        original = RemoteLm._post
         sent = []
 
-        def post(session, url, json=None, **kwargs):
-            sent.append(json)
-            return original(session, url, json=json, **kwargs)
+        def post(self, path, payload):
+            sent.append(payload)
+            return original(self, path, payload)
 
-        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setattr(RemoteLm, "_post", post)
         the, dog, cat = lm.tokenize("the dog cat")
         suffixes = [[dog], [cat], []]
         prefixes = [[the] + suffix for suffix in suffixes]
@@ -482,10 +489,10 @@ class TestWireProtocol:
         _, server = served_ngram
         remote = RemoteLm(server.endpoint, top_k=2)
 
-        def post(*args, **kwargs):
+        def post(*args):
             raise AssertionError("an empty batch sent a request")
 
-        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setattr(RemoteLm, "_post", post)
         assert remote.step([], [], []) == ([], [])
         assert remote.step([1], [], []) == ([], [])
 
@@ -544,14 +551,14 @@ class TestWireProtocol:
         n_steps = len(local_steps) - 1
         assert n_steps == cfg.max_tokens and local_steps[-1] == 0
 
-        original = requests.Session.post
+        original = RemoteLm._post
         sent = []
 
-        def post(session, url, json=None, **kwargs):
-            sent.append((url.removeprefix(server.endpoint), json))
-            return original(session, url, json=json, **kwargs)
+        def post(self, path, payload):
+            sent.append((path, payload))
+            return original(self, path, payload)
 
-        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setattr(RemoteLm, "_post", post)
         remote = RemoteLm(server.endpoint, top_k=lm.vocab_size)
         assert decode(remote, "the", onto, build_lexicon(onto), "Dog", "the dog barks",
                       cfg) == want
@@ -570,14 +577,14 @@ class TestWireProtocol:
         # Every step of this decode runs to max_tokens (see the test above).
         cfg = DecodeConfig(beam_size=4, num_groups=2, diversity_penalty=0.5, window=2,
                            max_tokens=6)
-        original = requests.Session.post
+        original = RemoteLm._post
         paths = []
 
-        def post(session, url, **kwargs):
-            paths.append(url.removeprefix(server.endpoint))
-            return original(session, url, **kwargs)
+        def post(self, path, payload):
+            paths.append(path)
+            return original(self, path, payload)
 
-        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setattr(RemoteLm, "_post", post)
         accepted, _ = _connections(server, monkeypatch)
         remote = RemoteLm(server.endpoint, top_k=lm.vocab_size)
         decode(remote, "the", onto, build_lexicon(onto), "Dog", "the dog barks", cfg)
@@ -697,18 +704,19 @@ class TestWireProtocol:
     def test_each_thread_posts_through_its_own_session(self, served_ngram, monkeypatch):
         lm, server = served_ngram
         remote = RemoteLm(server.endpoint, top_k=2)
-        original = requests.Session.post
+        original = RemoteLm._post
         both_posting = threading.Barrier(2)
         seen = []
 
-        def post(session, *args, **kwargs):
-            seen.append((threading.get_ident(), id(session)))
-            # Both threads hold their session here at once, so neither
-            # thread id nor session id can be recycled between them.
+        def post(self, path, payload):
+            seen.append(threading.get_ident())
+            # Both threads post at once, so neither can reuse the other's
+            # thread id or find the other's connection idle.
             both_posting.wait(timeout=5)
-            return original(session, *args, **kwargs)
+            return original(self, path, payload)
 
-        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setattr(RemoteLm, "_post", post)
+        accepted, _ = _connections(server, monkeypatch)
         prefix = lm.tokenize("the")
         steps = []
         workers = [threading.Thread(target=lambda: steps.append(remote.next_logits(prefix)))
@@ -719,14 +727,143 @@ class TestWireProtocol:
             worker.join(timeout=10)
             assert not worker.is_alive()
         assert [len(step.logits) for step in steps] == [2, 2]
-        (thread_a, session_a), (thread_b, session_b) = seen
+        thread_a, thread_b = seen
         assert thread_a != thread_b
-        assert session_a != session_b
+        assert len(accepted) == 2
+
+    def test_connection_closed_while_idle_is_replaced_silently(self, served_ngram,
+                                                               monkeypatch, caplog):
+        lm, server = served_ngram
+        accepted, closed = _connections(server, monkeypatch)
+        # A retried attempt would wait 5 s before the next one.
+        remote = RemoteLm(server.endpoint, top_k=2, backoff=5)
+        assert remote.tokenize("the dog") == lm.tokenize("the dog")
+        (first,) = accepted
+        first.shutdown(socket.SHUT_RD)  # the handler reads EOF and closes the connection
+        _until(lambda: closed)
+        assert closed == [first]
+        start = time.monotonic()
+        with caplog.at_level(logging.WARNING, logger="ontodecode.lm"):
+            assert remote.tokenize("the cat") == lm.tokenize("the cat")
+        assert time.monotonic() - start < 2
+        assert caplog.records == []
+        assert len(accepted) == 2
+
+    def test_each_request_is_one_write(self, served_ngram, monkeypatch):
+        lm, server = served_ngram
+        sendall = socket.socket.sendall
+        writes = []
+
+        def spy(sock, data, *args):
+            if sock.getpeername()[1] == server.port:  # the client's end, not the server's
+                writes.append(bytes(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", spy)
+        remote = RemoteLm(server.endpoint, top_k=2)
+        the, dog = remote.tokenize("the dog")
+        remote.step([the], [[], [dog]], [[dog]])
+        remote.next_logits([dog])
+        assert len(writes) == 3
+        for write, path in zip(writes, ["/v1/tokenize", "/v1/logits", "/v1/logits"]):
+            head, _, body = write.partition(b"\r\n\r\n")
+            assert head.startswith(f"POST {path} HTTP/1.1\r\nHost: {server.host}:{server.port}\r\n"
+                                   .encode("ascii"))
+            assert f"\r\nContent-Length: {len(body)}".encode("ascii") in head
+            assert isinstance(json.loads(body), dict)
+
+    def test_endpoint_path_prefixes_every_request(self, served_ngram, monkeypatch, caplog):
+        _, server = served_ngram
+        accepted, _ = _connections(server, monkeypatch)
+        # serve-ngram knows no /lm prefix, so its 404 names the path it got.
+        remote = RemoteLm(server.endpoint + "/lm/", top_k=2, backoff=5)
+        message = "unexpected status 404: " + json.dumps(
+            {"error": "unknown path '/lm/v1/tokenize'"})
+        # The 404 says Connection: close, so the second request goes out on
+        # a new connection, with no failed attempt.
+        with caplog.at_level(logging.WARNING, logger="ontodecode.lm"):
+            for _ in range(2):
+                with pytest.raises(LmProtocolError, match=re.escape(message)):
+                    remote.tokenize("the")
+        assert caplog.records == []
+        assert len(accepted) == 2
+
+    def test_connections_close_with_their_thread_and_with_the_client(self, served_ngram,
+                                                                      monkeypatch):
+        lm, server = served_ngram
+        accepted, closed = _connections(server, monkeypatch)
+        remote = RemoteLm(server.endpoint, top_k=2)
+        worker = threading.Thread(target=remote.tokenize, args=("the",))
+        worker.start()
+        worker.join(timeout=10)
+        assert remote.tokenize("the dog") == lm.tokenize("the dog")
+        assert len(accepted) == 2
+        # The worker's connection closed when the worker ended, the main
+        # thread's when the client was dropped; neither warns.
+        _until(lambda: closed)
+        assert closed == [accepted[0]]
+        del remote
+        _until(lambda: len(closed) == 2)
+        assert sorted(map(id, closed)) == sorted(map(id, accepted))
+
+    def test_shutdown_ends_kept_alive_connections(self):
+        lm = train_ngram(["the dog barks"], 2)
+        with serving(lm) as server:
+            remote = RemoteLm(server.endpoint, top_k=2, retries=2, backoff=0)
+            assert remote.tokenize("the dog") == lm.tokenize("the dog")
+        with pytest.raises(LmUnavailableError, match="2 attempts"):
+            remote.tokenize("the dog")
+
+    def test_client_that_leaves_early_prints_no_traceback(self, served_ngram, monkeypatch,
+                                                          capfd):
+        _, server = served_ngram
+        accepted, closed = _connections(server, monkeypatch)
+        with socket.create_connection((server.host, server.port), timeout=2) as sock:
+            sock.sendall(b"POST /v1/tokenize HTTP/1.1\r\nHost: lm\r\n"
+                         b"Content-Length: 15\r\n\r\n" + b'{"text": "the"}'[:14])
+        # The server reads the short body, answers 400 and finds no reader.
+        _until(lambda: accepted and closed)
+        assert closed == accepted
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("error, printed", [
+        (BrokenPipeError(32, "Broken pipe"), False),
+        (ConnectionResetError(104, "Connection reset by peer"), False),
+        (RuntimeError("handler bug"), True),
+        (ValueError("handler bug"), True),
+    ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+    def test_only_a_client_that_left_early_is_no_error(self, served_ngram, capfd,
+                                                       error, printed):
+        _, server = served_ngram
+        try:
+            raise error
+        except type(error):
+            server.httpd.handle_error(None, ("127.0.0.1", 1))
+        err = capfd.readouterr().err
+        assert ("Traceback" in err and type(error).__name__ in err) is printed
 
     def test_unreachable_endpoint(self):
         with pytest.raises(LmUnavailableError, match="3 attempts"):
             RemoteLm("http://127.0.0.1:9", top_k=1, timeout=0.2, retries=3,
                      backoff=0.01).next_logits([])
+
+
+@pytest.mark.parametrize("endpoint", [
+    "localhost:8000", "ftp://x/", "http://", "http:///v1", "//h:1", "", None, 8000,
+    "http://h:abc", "http://h:70000", "http://[::1", "http://u:p@h:1", "http://h:1/?q=1",
+    "http://h:1/#top", "http://h:1/a b", "http://h\u00e9:1", "http://h:1/\u00e9",
+])
+def test_endpoint_must_be_an_http_url_with_a_host(endpoint):
+    with pytest.raises(ValueError):
+        RemoteLm(endpoint, top_k=1)
+
+
+@pytest.mark.parametrize("endpoint", [
+    "http://127.0.0.1:9", "http://Example.org/", "https://h.example:8443/lm/",
+    "http://[::1]:8000/a/b", "HTTP://h:1",
+])
+def test_endpoint_with_a_host_is_taken(endpoint):
+    assert RemoteLm(endpoint, top_k=1).endpoint == endpoint.rstrip("/")
 
 
 def _canned_server(body: str, status: int = 200, fail_times: int = 0):

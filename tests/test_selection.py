@@ -14,7 +14,6 @@ import random
 from collections import Counter
 
 import pytest
-import requests
 
 from ontodecode.annotator import build_lexicon
 from ontodecode.decoder import (
@@ -225,14 +224,14 @@ def test_served_logits_body_matches_dense_ranking(monkeypatch):
     rng = random.Random(11)
     words = [f"w{i}" for i in range(15)]
     lm = train_ngram([" ".join(rng.choice(words) for _ in range(12)) for _ in range(3)], 2)
-    original = requests.Session.post
+    original = RemoteLm._post
     sent = []
 
-    def post(session, url, json=None, **kwargs):
-        sent.append(json)
-        return original(session, url, json=json, **kwargs)
+    def post(self, path, payload):
+        sent.append(payload)
+        return original(self, path, payload)
 
-    monkeypatch.setattr(requests.Session, "post", post)
+    monkeypatch.setattr(RemoteLm, "_post", post)
     with serving(lm) as server:
         V = lm.vocab_size
         for top_k in sorted({1, 2, V - 1, V, V + 5}):

@@ -2,9 +2,11 @@
 
 Any backend that answers /v1/tokenize and /v1/logits can drive the
 decoder. A logits request carries a batch, and the decoder sends one per
-step: the prompt once as the prefix, one suffix per beam holding the tokens
-it has generated, and the id lists of the windows it rescores, which come
-back as texts. Here the reference n-gram model is served in-process and
+step: the prompt as the prefix, one suffix per beam holding the tokens it
+has generated, and the id lists of the windows it rescores, which come
+back as texts. The connection holds the prompt's ids from the tokenize
+reply, so each step sends the prefix as null: the prompt crosses once,
+as text. Here the reference n-gram model is served in-process and
 queried through the remote client; with top_k covering the full
 vocabulary, each reply step carries the model's floor, and the remote
 decode reproduces the local one bitwise.

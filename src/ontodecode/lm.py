@@ -167,6 +167,11 @@ class NgramLm(LmContract):
         listed, floor = memo
         return LmStep(dict(listed), floor, self.vocab_size)
 
+    def step(self, prefix: list[TokenId], suffixes: list[list[TokenId]],
+             texts: list[list[TokenId]]) -> tuple[list[LmStep], list[str]]:
+        # Only the last order - 1 ids reach a context: copy them once, not once per suffix.
+        return super().step(prefix[max(0, len(prefix) - (self.order - 1)):], suffixes, texts)
+
 
 def train_ngram(corpus: list[str], n: int) -> NgramLm:
     """Train the reference n-gram model on whitespace-tokenized documents."""
@@ -266,7 +271,8 @@ class RemoteLm(LmContract):
     ``detokenize`` are ``step`` calls of one item. A step the backend sends
     with a ``floor`` (only allowed when ``top_k`` covers the vocabulary)
     stands for the whole distribution; a step without one lists every id
-    that is possible.
+    that is possible. A prefix that this thread's connection holds (the last one sent on it,
+    or the ids of its last tokenize reply) is sent as null: a decode sends its prompt once.
     """
 
     def __init__(self, endpoint: str, top_k: int, *, timeout: float = 30.0,
@@ -295,13 +301,10 @@ class RemoteLm(LmContract):
         self._meta: tuple[TokenId, int] | None = None
 
     def _exchange(self, path: str, body: bytes) -> tuple[int, bytes]:
-        """One request on this thread's connection, headers and body in one
-        write: the reply's status and body. A connection that the server
-        closed while idle, or that the last reply ended, is replaced."""
-        conn = getattr(self._local, "conn", None)
+        """One request, in one write, on the connection ``_post`` picked: status and body."""
+        conn = self._local.conn
         try:
-            if conn is None or conn.sock is None or _readable(conn.sock):
-                conn = self._local.conn = self._connect()
+            if conn.sock is None:
                 conn.connect()  # sets TCP_NODELAY
                 weakref.finalize(conn, conn.sock.close)
             conn.sock.sendall(f"POST {self._path}{path} HTTP/1.1\r\nHost: {self._host}\r\n"
@@ -313,18 +316,27 @@ class RemoteLm(LmContract):
         except BaseException:
             conn.close()
             raise
-        if response.will_close:
-            conn.close()
+        if response.will_close or response.status != 200:
+            conn.close()  # a retry, or the next request, starts on a new connection
         return response.status, reply
 
     def _post(self, path: str, payload: dict) -> dict:
         url = self.endpoint + path
-        body = json.dumps(payload).encode("utf-8")
+        prefix = payload.get("prefix")
         last_error: Exception | None = None
         for attempt in range(1, self.retries + 1):
             try:
-                status, reply = self._exchange(path, body)
+                # An open connection's last request got a 200 reply, which set the
+                # prefix it holds; one dropped while idle or by its reply is replaced.
+                conn = getattr(self._local, "conn", None)
+                if conn is None or conn.sock is None or _readable(conn.sock):
+                    conn = self._local.conn = self._connect()
+                    conn.held = None
+                null = prefix is not None and conn.held == prefix
+                status, reply = self._exchange(path, json.dumps(
+                    {**payload, "prefix": None} if null else payload).encode("utf-8"))
                 if status == 200:
+                    conn.held = None if prefix is None else list(prefix)
                     try:
                         data = json.loads(reply)
                     except ValueError as exc:
@@ -353,6 +365,7 @@ class RemoteLm(LmContract):
             raise LmProtocolError("tokenize response missing 'ids' list")
         if not all(is_integer(i) for i in ids):
             raise LmProtocolError("tokenize response holds an id that is not an integer")
+        self._local.conn.held = list(ids)
         return ids
 
     def detokenize(self, ids: list[TokenId]) -> str:
@@ -392,25 +405,21 @@ class RemoteLm(LmContract):
         return parsed, replied
 
     def _parse_step(self, step: object, vocab_size: int) -> LmStep:
-        if (not isinstance(step, dict) or "floor" not in step
-                or not isinstance(step.get("tokens"), list)):
+        if not (isinstance(step, dict) and step.keys() >= {"ids", "logprobs", "floor"}
+                and isinstance(ids := step["ids"], list)
+                and isinstance(logprobs := step["logprobs"], list) and len(ids) == len(logprobs)):
             raise LmProtocolError(f"malformed logits step: {step!r}")
-        logits: dict[TokenId, float] = {}
-        for entry in step["tokens"]:
-            if not isinstance(entry, dict) or "id" not in entry or "logprob" not in entry:
-                raise LmProtocolError(f"malformed token entry: {entry!r}")
-            tid, logprob = entry["id"], entry["logprob"]
-            if not (is_finite_number(logprob) and logprob <= 0):
-                raise LmProtocolError(f"non-finite or positive logprob for token {tid!r}")
-            if not (is_integer(tid) and 0 <= tid < vocab_size):
-                raise LmProtocolError(f"token id {tid!r} outside [0, {vocab_size})")
-            if tid in logits:
-                raise LmProtocolError(f"token id {tid} listed twice")
-            logits[tid] = float(logprob)
-        if len(logits) > self.top_k:
-            raise LmProtocolError(
-                f"server returned {len(logits)} tokens for top_k={self.top_k}"
-            )
+        if len(ids) > self.top_k:
+            raise LmProtocolError(f"server returned {len(ids)} tokens for top_k={self.top_k}")
+        _id_list(ids, "logits step ids", vocab_size, LmProtocolError)
+        # C-level passes; within the bounds no int overflows a float, and only NaN is left.
+        if not ({*map(type, logprobs)} <= {float, int} and (not logprobs or (
+                -_FLOAT_MAX <= min(logprobs) and max(logprobs) <= 0))
+                and not any(map(math.isnan, logprobs))):
+            raise LmProtocolError("logits step holds a non-finite or positive logprob")
+        logits = dict(zip(ids, map(float, logprobs)))
+        if len(logits) < len(ids):
+            raise LmProtocolError("logits step has a token id listed twice")
         floor = step["floor"]
         if floor is None:
             return LmStep(logits)
@@ -514,18 +523,18 @@ def _wire_step(step: LmStep, top_k: int, vocab_size: int) -> dict:
     """One reply step: the ``LmStep`` itself when ``top_k`` covers the
     vocabulary and its floor is finite, else its top k with no floor."""
     if top_k >= vocab_size and not step.truncated:
-        entries, floor = step.logits.items(), step.floor
+        logits, floor = step.logits, step.floor
     else:
-        entries, floor = _top_k(step, top_k), None
-    return {"tokens": [{"id": tid, "logprob": logprob} for tid, logprob in entries],
-            "floor": floor}
+        logits, floor = dict(_top_k(step, top_k)), None
+    return {"ids": list(logits), "logprobs": list(logits.values()), "floor": floor}
 
 
-def _id_list(value: object, what: str, vocab_size: int) -> list[TokenId]:
+def _id_list(value: object, what: str, vocab_size: int,
+             error: type[Exception] = ValueError) -> list[TokenId]:
     # C-level passes; the exact type test keeps a JSON true from being an id.
     if not (isinstance(value, list) and (not value or (
             {*map(type, value)} == {int} and 0 <= min(value) and max(value) < vocab_size))):
-        raise ValueError(f"{what} must be a list of token ids in [0, {vocab_size})")
+        raise error(f"{what} must be a list of token ids in [0, {vocab_size})")
     return value
 
 
@@ -541,6 +550,7 @@ def _make_handler(lm: LmContract):
         # headers, does not wait for the client's delayed ACK.
         protocol_version = "HTTP/1.1"
         disable_nagle_algorithm = True
+        held: list[TokenId] | None = None  # one handler per connection: the prefix it holds
 
         def log_message(self, fmt, *args):  # noqa: N802 - stdlib signature
             logger.debug("lm server: " + fmt, *args)
@@ -573,14 +583,19 @@ def _make_handler(lm: LmContract):
                     text = payload["text"]
                     if not isinstance(text, str):
                         raise TypeError("text must be a string")
-                    self._reply(200, {"ids": lm.tokenize(text)})
+                    self.held = lm.tokenize(text)
+                    self._reply(200, {"ids": self.held})
                 elif self.path == "/v1/logits":
                     vocab_size = lm.vocab_size
-                    prefix = _id_list(payload["prefix"], "prefix", vocab_size)
+                    if (prefix := payload["prefix"]) is None and self.held is None:
+                        raise ValueError("prefix is null, but this connection holds none")
+                    prefix = (self.held if prefix is None
+                              else _id_list(prefix, "prefix", vocab_size))
                     suffixes = _id_lists(payload["suffixes"], "suffixes", vocab_size)
                     texts = _id_lists(payload["detokenize"], "detokenize", vocab_size)
                     top_k = payload["top_k"]
                     check_count("top_k", top_k)
+                    self.held = prefix
                     steps, texts = lm.step(prefix, suffixes, texts)
                     self._reply(200, {
                         "steps": [_wire_step(step, top_k, vocab_size) for step in steps],

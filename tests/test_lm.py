@@ -1,5 +1,7 @@
 import gc
 import http.client
+import io
+import itertools
 import json
 import logging
 import math
@@ -14,7 +16,6 @@ from collections import Counter, defaultdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from ontodecode import cli
 from ontodecode.annotator import build_lexicon
@@ -26,6 +27,7 @@ from ontodecode.lm import (
     NgramLm,
     RemoteLm,
     _id_list,
+    is_finite_number,
     is_integer,
     train_ngram,
 )
@@ -343,6 +345,32 @@ def served_ngram():
         yield lm, server
 
 
+def _post_json(server, path: str, payload: object) -> tuple[int, dict]:
+    """``payload`` (a str as is, anything else as JSON) posted on a new connection:
+    the reply's status and its JSON body."""
+    body = payload if isinstance(payload, str) else json.dumps(payload)
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        conn.request("POST", path, body.encode("utf-8"), {"Content-Type": "application/json"})
+        reply = conn.getresponse()
+        return reply.status, json.loads(reply.read())
+    finally:
+        conn.close()
+
+
+def _sent_bodies(monkeypatch) -> list[tuple[str, dict]]:
+    """The path and JSON body of each attempt that a ``RemoteLm`` sends from now on."""
+    original = RemoteLm._exchange
+    sent = []
+
+    def exchange(self, path, body):
+        sent.append((path, json.loads(body)))
+        return original(self, path, body)
+
+    monkeypatch.setattr(RemoteLm, "_exchange", exchange)
+    return sent
+
+
 _COUNTS = {
     "order": lambda value: train_ngram(["the dog barks"], value),
     "top_k": lambda value: RemoteLm("http://127.0.0.1:9", top_k=value),
@@ -355,11 +383,10 @@ _COUNTS = {
 def test_counts_are_integers_in_range(request, name, value):
     if name == "served top_k":
         _, server = request.getfixturevalue("served_ngram")
-        reply = requests.post(server.endpoint + "/v1/logits",
-                              json={"prefix": [], "suffixes": [[]], "detokenize": [],
-                                    "top_k": value}, timeout=10)
-        assert reply.status_code == 400
-        assert re.search(count_error("top_k", value), reply.json()["error"])
+        status, reply = _post_json(server, "/v1/logits", {
+            "prefix": [], "suffixes": [[]], "detokenize": [], "top_k": value})
+        assert status == 400
+        assert re.search(count_error("top_k", value), reply["error"])
     else:
         with pytest.raises(ValueError, match=count_error(name, value)):
             _COUNTS[name](value)
@@ -454,36 +481,35 @@ class TestWireProtocol:
     def test_batch_sends_the_given_prefix_once(self, served_ngram, monkeypatch):
         lm, server = served_ngram
         remote = RemoteLm(server.endpoint, top_k=lm.vocab_size)
-        original = RemoteLm._post
-        sent = []
-
-        def post(self, path, payload):
-            sent.append(payload)
-            return original(self, path, payload)
-
-        monkeypatch.setattr(RemoteLm, "_post", post)
         the, dog, cat = lm.tokenize("the dog cat")
+        sent = _sent_bodies(monkeypatch)
         suffixes = [[dog], [cat], []]
         prefixes = [[the] + suffix for suffix in suffixes]
         steps, texts = remote.step([the], suffixes, [])
-        assert sent == [{"prefix": [the], "suffixes": [[dog], [cat], []], "detokenize": [],
-                         "top_k": lm.vocab_size}]
+        assert sent == [("/v1/logits", {"prefix": [the], "suffixes": [[dog], [cat], []],
+                                        "detokenize": [], "top_k": lm.vocab_size})]
         assert [dense(step) for step in steps] == [dense(lm.next_logits(p)) for p in prefixes]
         assert texts == []
 
         # The client factors out nothing itself: a start the suffixes share
         # is sent once per suffix. The texts ride on the same request.
         steps, texts = remote.step([], prefixes, prefixes + [[]])
-        assert sent[1] == {"prefix": [], "suffixes": prefixes, "detokenize": prefixes + [[]],
-                           "top_k": lm.vocab_size}
+        assert sent[1][1] == {"prefix": [], "suffixes": prefixes, "detokenize": prefixes + [[]],
+                              "top_k": lm.vocab_size}
         assert [dense(step) for step in steps] == [dense(lm.next_logits(p)) for p in prefixes]
         assert texts == ["the dog", "the cat", "the", ""]
 
         steps, texts = remote.step([the], [], [[dog], []])
-        assert sent[2] == {"prefix": [the], "suffixes": [], "detokenize": [[dog], []],
-                           "top_k": lm.vocab_size}
+        assert sent[2][1] == {"prefix": [the], "suffixes": [], "detokenize": [[dog], []],
+                              "top_k": lm.vocab_size}
         assert (steps, texts) == ([], ["dog", ""])
-        assert len(sent) == 3
+
+        # The connection holds [the] now, so the next step sends it as null.
+        steps, texts = remote.step([the], suffixes, [])
+        assert sent[3][1] == {"prefix": None, "suffixes": [[dog], [cat], []], "detokenize": [],
+                              "top_k": lm.vocab_size}
+        assert [dense(step) for step in steps] == [dense(lm.next_logits(p)) for p in prefixes]
+        assert len(sent) == 4
 
     def test_empty_batches_send_no_request(self, served_ngram, monkeypatch):
         _, server = served_ngram
@@ -518,6 +544,8 @@ class TestWireProtocol:
                         "top_k": 2}),
         ("/v1/logits", {"prefix": [], "suffixes": [], "detokenize": [[6]], "top_k": 2}),
         ("/v1/logits", {"prefix": [], "suffixes": [], "detokenize": "01", "top_k": 2}),
+        # A new connection holds no prefix.
+        ("/v1/logits", {"prefix": None, "suffixes": [[]], "detokenize": [], "top_k": 2}),
         ("/v1/tokenize", {"text": 5}),
         ("/v1/tokenize", {"text": ["the"]}),
         ("/v1/logits", "{not json"),
@@ -525,10 +553,9 @@ class TestWireProtocol:
     def test_malformed_batch_gets_400_and_server_keeps_serving(self, served_ngram,
                                                                 path, payload):
         lm, server = served_ngram
-        body = {"data": payload} if isinstance(payload, str) else {"json": payload}
-        reply = requests.post(server.endpoint + path, **body, timeout=10)
-        assert reply.status_code == 400
-        assert reply.json()["error"]
+        status, reply = _post_json(server, path, payload)
+        assert status == 400
+        assert reply["error"]
         remote = RemoteLm(server.endpoint, top_k=2)
         assert len(remote.next_logits(lm.tokenize("the")).logits) == 2
         assert remote.detokenize(lm.tokenize("the dog")) == "the dog"
@@ -551,14 +578,7 @@ class TestWireProtocol:
         n_steps = len(local_steps) - 1
         assert n_steps == cfg.max_tokens and local_steps[-1] == 0
 
-        original = RemoteLm._post
-        sent = []
-
-        def post(self, path, payload):
-            sent.append((path, payload))
-            return original(self, path, payload)
-
-        monkeypatch.setattr(RemoteLm, "_post", post)
+        sent = _sent_bodies(monkeypatch)
         remote = RemoteLm(server.endpoint, top_k=lm.vocab_size)
         assert decode(remote, "the", onto, build_lexicon(onto), "Dog", "the dog barks",
                       cfg) == want
@@ -567,6 +587,10 @@ class TestWireProtocol:
         assert [path for path, _ in sent] == ["/v1/tokenize"] + ["/v1/logits"] * (n_steps + 1)
         *steps, (_, last) = sent[1:]
         assert all(len(body["suffixes"]) >= 1 for _, body in steps)
+        # The prompt crossed once, as text: the connection holds its ids from
+        # the tokenize reply, and no logits request sends them.
+        assert sent[0][1] == {"text": "the"}
+        assert all(body["prefix"] is None for _, body in steps)
         assert (last["prefix"], last["suffixes"]) == ([], [])
         assert any(body["detokenize"] for _, body in steps)  # windows rode on steps
         assert want.tokens in last["detokenize"]
@@ -644,6 +668,23 @@ class TestWireProtocol:
                                                                "ids in [0, 2)")):
                     _id_list(case, "ids", vocab_size)
 
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_logprob_check_equals_the_per_entry_rule(self, length):
+        # The per-entry rule the array passes replaced, kept as their oracle: a
+        # NaN anywhere must not hide an int too large for a float from min and max.
+        remote = RemoteLm("http://127.0.0.1:9", top_k=length)
+        pool = [-1.0, 0, -0.0, 0.5, 2, math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400,
+                True, "-1", None]
+        for values in itertools.product(pool, repeat=length):
+            step = {"ids": list(range(length)), "logprobs": list(values), "floor": None}
+            if all(is_finite_number(value) and value <= 0 for value in values):
+                logits = remote._parse_step(step, length).logits
+                assert logits == dict(enumerate(map(float, values)))
+                assert all(type(value) is float for value in logits.values())
+            else:
+                with pytest.raises(LmProtocolError, match="non-finite or positive logprob"):
+                    remote._parse_step(step, length)
+
     @pytest.mark.parametrize("path, length, body, status", [
         ("/v1/tokenize", "-1", b'{"text": "the"}', 400),
         ("/v1/tokenize", None, b'{"text": "the"}', 400),
@@ -673,9 +714,7 @@ class TestWireProtocol:
     ])
     def test_unknown_path_gets_404(self, served_ngram, path, payload):
         _, server = served_ngram
-        reply = requests.post(server.endpoint + path, json=payload, timeout=10)
-        assert reply.status_code == 404
-        assert reply.json() == {"error": f"unknown path {path!r}"}
+        assert _post_json(server, path, payload) == (404, {"error": f"unknown path {path!r}"})
 
     def test_bad_content_length_gets_400(self, served_ngram):
         _, server = served_ngram
@@ -735,19 +774,117 @@ class TestWireProtocol:
                                                                monkeypatch, caplog):
         lm, server = served_ngram
         accepted, closed = _connections(server, monkeypatch)
+
+        def drop_idle_connection():
+            accepted[-1].shutdown(socket.SHUT_RD)  # the handler reads EOF and closes it
+            _until(lambda: len(closed) == len(accepted))
+            assert closed == accepted
+
         # A retried attempt would wait 5 s before the next one.
-        remote = RemoteLm(server.endpoint, top_k=2, backoff=5)
-        assert remote.tokenize("the dog") == lm.tokenize("the dog")
-        (first,) = accepted
-        first.shutdown(socket.SHUT_RD)  # the handler reads EOF and closes the connection
-        _until(lambda: closed)
-        assert closed == [first]
+        remote = RemoteLm(server.endpoint, top_k=lm.vocab_size, backoff=5)
+        ids = remote.tokenize("the dog")
+        assert ids == lm.tokenize("the dog")
+        sent = _sent_bodies(monkeypatch)
         start = time.monotonic()
         with caplog.at_level(logging.WARNING, logger="ontodecode.lm"):
+            drop_idle_connection()
+            # The new connection holds no prefix, so the step sends it in full.
+            (step,), _ = remote.step(ids, [[]], [])
+            assert dense(step) == dense(lm.next_logits(ids))
+            assert sent == [("/v1/logits", {"prefix": ids, "suffixes": [[]], "detokenize": [],
+                                             "top_k": lm.vocab_size})]
+            drop_idle_connection()
             assert remote.tokenize("the cat") == lm.tokenize("the cat")
         assert time.monotonic() - start < 2
         assert caplog.records == []
-        assert len(accepted) == 2
+        assert len(accepted) == 3
+
+    def test_only_the_prefix_the_connection_holds_is_sent_as_null(self, served_ngram,
+                                                                  monkeypatch):
+        lm, server = served_ngram
+        remote = RemoteLm(server.endpoint, top_k=lm.vocab_size)
+        dog = remote.tokenize("the dog")
+        sent = _sent_bodies(monkeypatch)
+        cat = lm.tokenize("the cat")
+        want = [cat.copy(), None, dog]
+        for _ in range(2):
+            (step,), _ = remote.step(cat, [[]], [])
+            assert dense(step) == dense(lm.next_logits(cat))
+        # The caller changes its list in place: the connection holds a copy.
+        cat[-1] = dog[-1]
+        (step,), _ = remote.step(cat, [[]], [])
+        assert dense(step) == dense(lm.next_logits(dog))
+        assert [body["prefix"] for _, body in sent] == want
+
+    def test_retry_after_a_server_error_sends_the_prefix_in_full(self, served_ngram,
+                                                                 monkeypatch, caplog):
+        lm, server = served_ngram
+        failed = []
+
+        class FailNullOnce(server.httpd.RequestHandlerClass):
+            def do_POST(self):  # noqa: N802 - stdlib signature
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                if not failed and json.loads(body).get("prefix", []) is None:
+                    failed.append(body)
+                    # A 500 that keeps the connection open: the client must leave it.
+                    self.send_response(500)
+                    self.send_header("Content-Length", "0")
+                    self.end_headers()
+                    return
+                rfile, self.rfile = self.rfile, io.BytesIO(body)
+                try:
+                    super().do_POST()
+                finally:
+                    self.rfile = rfile
+
+        monkeypatch.setattr(server.httpd, "RequestHandlerClass", FailNullOnce)
+        accepted, _ = _connections(server, monkeypatch)
+        remote = RemoteLm(server.endpoint, top_k=lm.vocab_size, backoff=0)
+        ids = remote.tokenize("the dog")
+        sent = _sent_bodies(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="ontodecode.lm"):
+            (step,), _ = remote.step(ids, [[]], [])
+        assert dense(step) == dense(lm.next_logits(ids))
+        assert [body["prefix"] for _, body in sent] == [None, ids]
+        assert len(failed) == 1 and len(accepted) == 2
+        (record,) = caplog.records
+        assert "attempt 1 of 3 failed, retrying: " in record.getMessage()
+        assert "server error 500" in record.getMessage()
+
+    def test_threads_sharing_a_client_hold_their_own_prefixes(self, served_ngram):
+        lm, server = served_ngram
+        remote = RemoteLm(server.endpoint, top_k=lm.vocab_size)
+        texts = ["the dog", "the cat"]
+        prompts = [lm.tokenize(text) for text in texts]
+        suffixes = [[], lm.tokenize("sleeps")]
+        # One thread acts per turn, in this order. Each tokenizes its text,
+        # steps on the other's prompt, then twice on its own, the second
+        # time sending null. A prefix held per client would send null for
+        # the other's prompt; one held per server would decode it.
+        script = [(0, None, 0), (1, None, 1), (0, 1, None), (1, 0, None),
+                  (0, 0, None), (1, 1, None), (0, 0, None), (1, 1, None)]
+        turn = threading.Barrier(2)
+        got = []
+
+        def run(me):
+            for who, prompt, text in script:
+                if who == me and text is not None:
+                    assert remote.tokenize(texts[text]) == prompts[text]
+                elif who == me:
+                    got.append((prompt, remote.step(prompts[prompt], suffixes, [])[0]))
+                turn.wait(timeout=5)
+
+        workers = [threading.Thread(target=run, args=(me,)) for me in (0, 1)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        assert [prompt for prompt, _ in got] == [1, 0, 0, 1, 0, 1]
+        for prompt, steps in got:
+            want = lm.step(prompts[prompt], suffixes, [])[0]
+            assert ([[value.hex() for value in dense(step).values()] for step in steps]
+                    == [[value.hex() for value in dense(step).values()] for step in want])
 
     def test_each_request_is_one_write(self, served_ngram, monkeypatch):
         lm, server = served_ngram
@@ -911,7 +1048,7 @@ class TestRemoteValidation:
             httpd.server_close()
 
     def test_passthrough(self):
-        body = json.dumps({"steps": [{"tokens": [{"id": 4, "logprob": -0.1}], "floor": None}],
+        body = json.dumps({"steps": [{"ids": [4], "logprobs": [-0.1], "floor": None}],
                            "texts": [], "eos_id": 9, "vocab_size": 10})
         step, _ = self.run_against(body)
         assert step.logits == {4: -0.1}
@@ -922,10 +1059,15 @@ class TestRemoteValidation:
         assert step == LmStep({4: -1.0}, -2.5, 10)
         assert not step.truncated
 
-    @pytest.mark.parametrize("logprob", ["NaN", pytest.param("1" + "0" * 400, id="10**400")])
-    def test_nan_logprob_rejected(self, logprob):
-        body = ('{"steps": [{"tokens": [{"id": 4, "logprob": %s}], "floor": null}], '
-                '"texts": [], "eos_id": 9, "vocab_size": 10}' % logprob)
+    @pytest.mark.parametrize("logprob", ["NaN", pytest.param("1" + "0" * 400, id="10**400"),
+                                         pytest.param("-1" + "0" * 400, id="-10**400")])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_nan_logprob_rejected(self, logprob, position):
+        # First or after a number: min and max treat a NaN in each place differently.
+        logprobs = ["-1.0", "-1.0"]
+        logprobs[position] = logprob
+        body = ('{"steps": [{"ids": [3, 4], "logprobs": [%s], "floor": null}], '
+                '"texts": [], "eos_id": 9, "vocab_size": 10}' % ", ".join(logprobs))
         with pytest.raises(LmProtocolError, match="non-finite"):
             self.run_against(body)
 
@@ -935,11 +1077,18 @@ class TestRemoteValidation:
             self.run_against(body)
 
     @pytest.mark.parametrize("step", [
-        {"tokens": []},
+        {"ids": [], "logprobs": []},
         {"floor": None},
         [],
-        {"tokens": None, "floor": None},
-        {"tokens": 5, "floor": None},
+        {"logprobs": [], "floor": None},
+        {"ids": [], "floor": None},
+        {"ids": None, "logprobs": [], "floor": None},
+        {"ids": [], "logprobs": None, "floor": None},
+        {"ids": 5, "logprobs": [-1.0], "floor": None},
+        {"ids": [5], "logprobs": -1.0, "floor": None},
+        {"ids": [4, 5], "logprobs": [-1.0], "floor": None},
+        {"ids": [4], "logprobs": [-1.0, -2.0], "floor": None},
+        {"ids": [], "logprobs": [-1.0], "floor": None},
     ])
     def test_malformed_step_rejected(self, step):
         body = json.dumps({"steps": [step], "texts": [], "eos_id": 9, "vocab_size": 10})
@@ -951,7 +1100,7 @@ class TestRemoteValidation:
             self.run_against("<html>oops</html>")
 
     def test_retry_then_succeed(self):
-        body = json.dumps({"steps": [{"tokens": [{"id": 0, "logprob": -1.0}], "floor": None}],
+        body = json.dumps({"steps": [{"ids": [0], "logprobs": [-1.0], "floor": None}],
                            "texts": [], "eos_id": 1, "vocab_size": 2})
         step, state = self.run_against(body, fail_times=2)
         assert state["hits"] == 3
@@ -991,11 +1140,12 @@ class TestRemoteValidation:
         with pytest.raises(LmProtocolError, match="missing 'ids' list"):
             self.run_against(json.dumps(body), call=lambda remote: remote.tokenize("a"))
 
-    @pytest.mark.parametrize("entry", [4, [4, -1.0], None, {"id": 4}, {"logprob": -1.0}])
-    def test_token_entry_not_an_id_logprob_object_rejected(self, entry):
-        body = json.dumps({"steps": [{"tokens": [entry], "floor": None}],
+    @pytest.mark.parametrize("logprob", [True, False, "-1.0", None, [-1.0], {}, math.inf,
+                                         -math.inf])
+    def test_logprob_not_a_number_rejected(self, logprob):
+        body = json.dumps({"steps": [{"ids": [3, 4], "logprobs": [-1.0, logprob], "floor": None}],
                            "texts": [], "eos_id": 9, "vocab_size": 10})
-        with pytest.raises(LmProtocolError, match="malformed token entry"):
+        with pytest.raises(LmProtocolError, match="non-finite or positive logprob"):
             self.run_against(body)
 
     def test_more_entries_than_top_k_rejected(self):
@@ -1010,9 +1160,10 @@ class TestRemoteValidation:
         with pytest.raises(LmProtocolError, match="listed twice"):
             self.run_against(_logits_body([4, 2, 4]))
 
-    @pytest.mark.parametrize("tid", [10, 11, -1, "x", 1.7, True])
+    @pytest.mark.parametrize("tid", [10, 11, -1, "x", 1.7, True, False, None, [0]])
     def test_token_id_outside_vocabulary_rejected(self, tid):
-        with pytest.raises(LmProtocolError, match="outside"):
+        with pytest.raises(LmProtocolError, match=re.escape(
+                "logits step ids must be a list of token ids in [0, 10)")):
             self.run_against(_logits_body([0, tid]))
 
     @pytest.mark.parametrize("n_steps, prefixes", [
@@ -1028,7 +1179,8 @@ class TestRemoteValidation:
                              call=lambda remote: remote.step([], prefixes, []))
 
     def test_steps_not_a_list_rejected(self):
-        body = json.dumps({"steps": {"tokens": []}, "texts": [], "eos_id": 9, "vocab_size": 10})
+        body = json.dumps({"steps": {"ids": [], "logprobs": []}, "texts": [], "eos_id": 9,
+                           "vocab_size": 10})
         with pytest.raises(LmProtocolError, match="dict steps for 1 suffixes"):
             self.run_against(body)
 
@@ -1055,8 +1207,8 @@ class TestRemoteValidation:
     @pytest.mark.parametrize("floor", ['"-1.0"', "true", "[]", "NaN", "Infinity", "-Infinity",
                                        pytest.param("1" + "0" * 400, id="10**400")])
     def test_floor_not_a_finite_number_rejected(self, floor):
-        body = ('{"steps": [{"tokens": [], "floor": %s}], "texts": [], "eos_id": 9, '
-                '"vocab_size": 10}' % floor)
+        body = ('{"steps": [{"ids": [], "logprobs": [], "floor": %s}], "texts": [], '
+                '"eos_id": 9, "vocab_size": 10}' % floor)
         with pytest.raises(LmProtocolError, match="floor must be a finite number"):
             self.run_against(body, top_k=10)
 
@@ -1065,10 +1217,10 @@ class TestRemoteValidation:
     def test_log_prob_above_zero_rejected(self, field, value):
         # A probability is at most 1, so a log-prob above 0 is a broken reply.
         body = (_logits_body([4], floor=value) if field == "floor" else json.dumps(
-            {"steps": [{"tokens": [{"id": 4, "logprob": value}], "floor": None}],
+            {"steps": [{"ids": [3, 4], "logprobs": [-1.0, value], "floor": None}],
              "texts": [], "eos_id": 9, "vocab_size": 10}))
         match = ("floor must be a finite number <= 0 or null" if field == "floor"
-                 else "non-finite or positive logprob for token 4")
+                 else "logits step holds a non-finite or positive logprob")
         with pytest.raises(LmProtocolError, match=re.escape(match)):
             self.run_against(body, top_k=10)
 
@@ -1077,9 +1229,10 @@ class TestRemoteValidation:
         step, _ = self.run_against(_logits_body([4], floor=value), top_k=10)
         assert step == LmStep({4: -1.0}, 0.0, 10)
         step, _ = self.run_against(json.dumps(
-            {"steps": [{"tokens": [{"id": 4, "logprob": value}], "floor": None}],
+            {"steps": [{"ids": [4], "logprobs": [value], "floor": None}],
              "texts": [], "eos_id": 9, "vocab_size": 10}))
         assert step == LmStep({4: 0.0})
+        assert all(type(logprob) is float for logprob in step.logits.values())
 
     def test_floor_below_full_vocabulary_top_k_rejected(self):
         with pytest.raises(LmProtocolError, match="floor sent for top_k=9"):
@@ -1117,7 +1270,7 @@ class TestRemoteValidation:
 
 def _logits_body(ids: list[int], eos_id: int = 9, vocab_size: int = 10,
                  floor: float | None = None, steps: int = 1, texts: object = ()) -> str:
-    step = {"tokens": [{"id": i, "logprob": -1.0} for i in ids], "floor": floor}
+    step = {"ids": ids, "logprobs": [-1.0] * len(ids), "floor": floor}
     return json.dumps({"steps": [step] * steps, "texts": texts, "eos_id": eos_id,
                        "vocab_size": vocab_size})
 

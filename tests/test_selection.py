@@ -9,6 +9,7 @@ and a served ``/v1/logits`` batch must list the dense ranking's top k,
 or the dense distribution itself when k covers the vocabulary.
 """
 
+import json
 import math
 import random
 from collections import Counter
@@ -224,14 +225,14 @@ def test_served_logits_body_matches_dense_ranking(monkeypatch):
     rng = random.Random(11)
     words = [f"w{i}" for i in range(15)]
     lm = train_ngram([" ".join(rng.choice(words) for _ in range(12)) for _ in range(3)], 2)
-    original = RemoteLm._post
+    original = RemoteLm._exchange
     sent = []
 
-    def post(self, path, payload):
-        sent.append(payload)
-        return original(self, path, payload)
+    def exchange(self, path, body):
+        sent.append(json.loads(body))
+        return original(self, path, body)
 
-    monkeypatch.setattr(RemoteLm, "_post", post)
+    monkeypatch.setattr(RemoteLm, "_exchange", exchange)
     with serving(lm) as server:
         V = lm.vocab_size
         for top_k in sorted({1, 2, V - 1, V, V + 5}):

@@ -22,7 +22,6 @@ import logging
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -162,13 +161,11 @@ def _check_shape(config: dict, defaults: dict, prefix: str = "") -> None:
 
 
 def _checked_config(args: argparse.Namespace) -> dict:
-    """``load_config``, then every range and ``--jobs``, before any work starts.
+    """``load_config``, then every range, before any work starts.
 
     A value is checked whether or not the command uses it, as the types are.
     """
     config = load_config(args)
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     with _config_values("decode"):
         DecodeConfig(**config["decode"])
     with _config_values("lm"):
@@ -202,6 +199,15 @@ def _read_notes(path: Path) -> list[Note]:
     notes = read_corpus(path)
     if not notes:
         raise UsageError(f"{path} contains no notes")
+    return notes
+
+
+def _notes_to_decode(path: Path) -> list[Note]:
+    """``_read_notes``, then ``extract_csr``'s empty-text check on every note, before any decode."""
+    notes = _read_notes(path)
+    empty = next((note for note in notes if not note.text), None)
+    if empty is not None:
+        raise ValueError(f"note {empty.id!r} has empty text")
     return notes
 
 
@@ -250,6 +256,16 @@ def _slug(name: str) -> str:
     return cleaned or "unnamed"
 
 
+def _output_names(sources: Iterable[tuple[str, str]]) -> list[str]:
+    """The file name of each ``(input, file name)`` pair, in order; no two inputs share one."""
+    owners: dict[str, str] = {}
+    for source, name in sources:
+        if name in owners:
+            raise UsageError(f"{owners[name]} and {source} both write {name}")
+        owners[name] = source
+    return list(owners)
+
+
 def _write_json(path: Path, payload: Any) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
@@ -260,14 +276,6 @@ def _output_dir(config: dict) -> Path:
     out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _map_jobs(fn: Callable, items: Iterable, jobs: int) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _domain_specs(config: dict) -> list[DomainSpec]:
@@ -305,17 +313,15 @@ def _domain_dcfs(config: dict, onto: Ontology, lex, specs: list[DomainSpec]) -> 
 def cmd_build_dcf(args: argparse.Namespace) -> int:
     config = _checked_config(args)
     specs = _domain_specs(config)
+    sources = [(f"domain {spec.name!r}", f"dcf_{_slug(spec.name)}.json") for spec in specs]
+    names = _output_names(sources + [("the cross-domain average", "dcf_average.json")])
     onto = _load_ontology(config)
     lex = build_lexicon(onto)
     raws = _domain_dcfs(config, onto, lex, specs)
     out = _output_dir(config)
-    for dcf in normalize_dcf(raws):
-        path = out / f"dcf_{_slug(dcf.domain)}.json"
-        _write_json(path, dcf.to_dict())
-        print(path)
-    avg_path = out / "dcf_average.json"
-    _write_json(avg_path, average_dcf(raws).to_dict())
-    print(avg_path)
+    for name, dcf in zip(names, [*normalize_dcf(raws), average_dcf(raws)]):
+        _write_json(out / name, dcf.to_dict())
+        print(out / name)
     return 0
 
 
@@ -326,7 +332,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     cfg = DecodeConfig(**config["decode"])
     lm = _build_lm(config)
 
-    notes = _read_notes(_existing(args.note_file, "note file"))
+    notes = _notes_to_decode(_existing(args.note_file, "note file"))
+    names = _output_names((f"note {note.id!r}", f"csr_{_slug(note.id)}.json")
+                          for note in notes)
 
     concepts = None
     if args.concept:
@@ -335,20 +343,19 @@ def cmd_extract(args: argparse.Namespace) -> int:
             raise UsageError(f"unknown concept ids: {unknown}")
         concepts = set(args.concept)
 
-    def one(note: Note) -> CSR:
-        return extract_csr(lm, onto, lex, (note.id, note.text), cfg, concepts=concepts)
-
-    csrs = _map_jobs(one, notes, args.jobs)
+    csrs = [extract_csr(lm, onto, lex, (note.id, note.text), cfg, concepts=concepts)
+            for note in notes]
     out = _output_dir(config)
-    for csr in csrs:
-        path = out / f"csr_{_slug(csr.note_id)}.json"
-        _write_json(path, csr.to_dict(onto))
-        print(path)
+    for name, csr in zip(names, csrs):
+        _write_json(out / name, csr.to_dict(onto))
+        print(out / name)
     return 0
 
 
 def cmd_prune(args: argparse.Namespace) -> int:
     config = _checked_config(args)
+    names = _output_names((f"CSR file {path}", f"{Path(path).stem}_pruned.json")
+                          for path in args.csr_files)
     onto = _load_ontology(config)
     dcf_path = _existing(args.dcf, "DCF file")
     dcf = DCF.from_dict(_read_json(dcf_path, "DCF file"))
@@ -361,13 +368,11 @@ def cmd_prune(args: argparse.Namespace) -> int:
         unknown = next((c for c in csr.entries if c not in onto), None)
         if unknown is not None:
             raise ValueError(f"CSR file {path}: class {unknown!r} is not in the ontology")
-        csrs.append((path, csr))
+        csrs.append(csr)
     out = _output_dir(config)
-    for path, csr in csrs:
-        pruned = prune_csr(csr, dcf, onto, k=k, alpha=alpha)
-        target = out / f"{path.stem}_pruned.json"
-        _write_json(target, pruned.to_dict(onto))
-        print(target)
+    for name, csr in zip(names, csrs):
+        _write_json(out / name, prune_csr(csr, dcf, onto, k=k, alpha=alpha).to_dict(onto))
+        print(out / name)
     return 0
 
 
@@ -386,15 +391,12 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     notes_path = admission_dir / "notes.jsonl"
     if not notes_path.exists():
         raise UsageError(f"admission directory must contain notes.jsonl: {admission_dir}")
-    notes = _read_notes(notes_path)
+    notes = _notes_to_decode(notes_path)
 
     normalized = normalize_dcf(_domain_dcfs(config, onto, lex, specs))
     domain_dcf = normalized[domains.index(args.domain)]
 
-    def one(note: Note) -> CSR:
-        return extract_csr(lm, onto, lex, (note.id, note.text), cfg)
-
-    csrs = _map_jobs(one, notes, args.jobs)
+    csrs = [extract_csr(lm, onto, lex, (note.id, note.text), cfg) for note in notes]
     if args.no_prune:
         kept = csrs
     else:
@@ -448,6 +450,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_serve_ngram(args: argparse.Namespace) -> int:
     config = _checked_config(args)
+    if not 0 <= args.port <= 65535:
+        raise UsageError(f"--port must be in [0, 65535], got {args.port}")
     if config["lm"]["kind"] != "ngram":
         raise UsageError("serve-ngram requires lm.kind == 'ngram'")
     lm = _build_lm(config)
@@ -483,8 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to the JSON configuration file")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config value by dotted key")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel worker limit for per-note work")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -589,10 +589,9 @@ class TestConfigErrors:
            f"optional port and an optional path, got {endpoint!r}")
           for kind in ("remote", "ngram")
           for endpoint in ("localhost:8000", "ftp://x/", "http://")),
-        ("summarize {admission} --domain cardio --config {config} --jobs 0",
-         "--jobs must be >= 1, got 0"),
-        ("summarize {admission} --domain cardio --config {config} --jobs -3",
-         "--jobs must be >= 1, got -3"),
+        ("serve-ngram --config {config} --port 70000", "--port must be in [0, 65535], got 70000"),
+        ("serve-ngram --config {config} --port 65536", "--port must be in [0, 65535], got 65536"),
+        ("serve-ngram --config {config} --port -1", "--port must be in [0, 65535], got -1"),
     ])
     def test_usage_error_message(self, fixture_tree, capsys, tmp_path, argv, message):
         paths = {
@@ -640,24 +639,26 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("argv", [
         "build-dcf --config {config}",
+        "extract {notes} --config {config}",
         "prune {csr} --dcf {dcf} --config {config}",
+        "summarize {admission} --domain cardio --config {config}",
         "score {summary} {notes} --config {config}",
         "serve-ngram --config {config}",
     ])
-    def test_jobs_below_one_is_usage_error_in_every_command(self, fixture_tree, capsys,
-                                                            monkeypatch, tmp_path, argv):
-        def no_server(*args, **kwargs):
-            raise AssertionError("server started before --jobs was checked")
+    def test_removed_jobs_flag_exits_2_in_every_command(self, fixture_tree, capsys,
+                                                        monkeypatch, tmp_path, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a command ran with the removed --jobs flag")
 
-        monkeypatch.setattr(cli, "LmServer", no_server)
+        monkeypatch.setattr(cli, "_checked_config", no_work)
         paths = {"config": fixture_tree["config"], "csr": tmp_path / "csr.json",
                  "dcf": tmp_path / "dcf.json", "summary": tmp_path / "summary.txt",
-                 "notes": fixture_tree["admission"] / "notes.jsonl"}
-        code, _, err = run(capsys, *(part.format(**paths) for part in argv.split()),
-                           "--jobs", "0")
-        assert code == 2
-        assert json.loads(err)["error"] == {
-            "type": "UsageError", "message": "--jobs must be >= 1, got 0"}
+                 "notes": fixture_tree["admission"] / "notes.jsonl",
+                 "admission": fixture_tree["admission"]}
+        with pytest.raises(SystemExit) as exit_info:
+            main([*(part.format(**paths) for part in argv.split()), "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_domains_default_to_the_corpus_in_first_occurrence_order(self, fixture_tree,
                                                                      capsys, tmp_path):
@@ -680,6 +681,64 @@ class TestConfigErrors:
                 "dcf_neuro.json", "dcf_cardio.json", "dcf_average.json"]
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert outputs[0] == outputs[1]
+
+
+class TestInputsCheckedBeforeWork:
+    @pytest.mark.parametrize("argv, notes, message", [
+        ("extract {jsonl} --config {config}", [("a b", None), ("a_b", None)],
+         "note 'a b' and note 'a_b' both write csr_a_b.json"),
+        ("extract {jsonl} --config {config}", [("", None), ("!!!", None)],
+         "note '' and note '!!!' both write csr_unnamed.json"),
+        ("prune {a} {b} --dcf {a} --config {config}", [],
+         "CSR file {a} and CSR file {b} both write csr_pruned.json"),
+        ("build-dcf --config {config} --set corpus_path={jsonl} --set dcf.domains=[]",
+         [("1", "a b"), ("2", "a_b")], "domain 'a b' and domain 'a_b' both write dcf_a_b.json"),
+        ("build-dcf --config {config} --set corpus_path={jsonl} --set dcf.domains=[]",
+         [("1", "average"), ("2", "cardio")],
+         "domain 'average' and the cross-domain average both write dcf_average.json"),
+    ], ids=["extract slug", "extract unnamed", "prune stem", "build-dcf slug",
+            "build-dcf average"])
+    def test_two_inputs_with_one_output_name_are_a_usage_error(
+            self, fixture_tree, capsys, monkeypatch, tmp_path, argv, notes, message):
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decode called before the output names were checked")
+
+        monkeypatch.setattr(pipeline, "decode", no_decode)
+        paths = {"config": fixture_tree["config"], "jsonl": tmp_path / "notes.jsonl",
+                 "a": tmp_path / "a" / "csr.json", "b": tmp_path / "b" / "csr.json"}
+        paths["jsonl"].write_text("".join(
+            json.dumps({"id": note_id, "domain": domain, "text": "fever noted"}) + "\n"
+            for note_id, domain in notes))
+        for csr in (paths["a"], paths["b"]):
+            csr.parent.mkdir()
+            csr.write_text(json.dumps({"note_id": "n", "entries": []}))
+        code, out, err = run(capsys, *(part.format(**paths) for part in argv.split()))
+        assert code == 2
+        assert json.loads(err)["error"] == {"type": "UsageError",
+                                            "message": message.format(**paths)}
+        assert out == ""
+        assert not fixture_tree["output"].exists()
+
+    @pytest.mark.parametrize("command", ["extract", "summarize"])
+    def test_empty_note_text_fails_before_any_decode(self, fixture_tree, capsys, monkeypatch,
+                                                     command):
+        notes = [dict(note) for note in ADMISSION_NOTES]
+        notes[1]["text"] = ""
+        (fixture_tree["admission"] / "notes.jsonl").write_text(
+            "".join(json.dumps(note) + "\n" for note in notes))
+        decodes = []
+        original = pipeline.decode
+
+        def spy(*args, **kwargs):
+            decodes.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "decode", spy)
+        code, _, err = run(capsys, *_argv(fixture_tree, command))
+        assert code == 1
+        assert json.loads(err)["error"] == {"type": "ValueError",
+                                            "message": "note 'note-2' has empty text"}
+        assert decodes == []
 
 
 _OUTPUTS = {
@@ -733,12 +792,8 @@ class TestRepeatedRuns:
         assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("command", ["extract", "summarize"])
-    @pytest.mark.parametrize("jobs, backend", [
-        ("3", "in-process"), ("1", "served"), ("3", "served"),
-    ])
-    def test_determinism_matrix(self, served_fixture_lm, tmp_path, capsys,
-                                command, jobs, backend):
-        """Each cell writes the bytes of an in-process ``--jobs 1`` run."""
+    def test_determinism_matrix(self, served_fixture_lm, tmp_path, capsys, command):
+        """The served cell writes the bytes of an in-process run."""
         tree, remote = served_fixture_lm
 
         def outputs(out: Path, *extra: str) -> dict[str, bytes]:
@@ -749,9 +804,7 @@ class TestRepeatedRuns:
 
         reference = outputs(tmp_path / "reference")
         assert list(reference) == _OUTPUTS[command]
-        cell = outputs(tmp_path / "cell", "--jobs", jobs,
-                       *(remote if backend == "served" else ()))
-        assert cell == reference
+        assert outputs(tmp_path / "served", *remote) == reference
 
     def test_second_in_process_summarize_writes_the_same_bytes(self, fixture_tree, tmp_path,
                                                                capsys):

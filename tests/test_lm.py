@@ -623,9 +623,8 @@ class TestWireProtocol:
         (sock,) = accepted
         assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_served_summarize_leaves_no_connection_open(self, fixture_tree, tmp_path,
-                                                        monkeypatch, capsys, jobs):
+                                                        monkeypatch, capsys):
         lines = fixture_tree["lm_corpus"].read_text(encoding="utf-8").splitlines()
         lm = train_ngram([line for line in lines if line.strip()], 2)
         with serving(lm) as server:
@@ -637,13 +636,13 @@ class TestWireProtocol:
             try:
                 code = cli.main([
                     "summarize", str(fixture_tree["admission"]), "--domain", "cardio",
-                    "--config", str(fixture_tree["config"]), "--jobs", jobs,
+                    "--config", str(fixture_tree["config"]),
                     "--set", f"output_dir={tmp_path / 'out'}", "--set", "lm.kind=remote",
                     "--set", f"lm.endpoint={server.endpoint}",
                     "--set", f"lm.top_k={lm.vocab_size}"])
                 assert code == 0, capsys.readouterr().err
-                # One connection per thread that posts: main's, and each worker's.
-                assert 1 <= len(accepted) <= (1 if jobs == "1" else 1 + int(jobs))
+                # Every request of the call goes over one kept-alive connection.
+                assert len(accepted) == 1
                 deadline = time.monotonic() + 5
                 while len(closed) < len(accepted) and time.monotonic() < deadline:
                     time.sleep(0.01)

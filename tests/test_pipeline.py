@@ -13,6 +13,7 @@ from ontodecode.metrics import NOT_EXTRACTED
 from ontodecode.pipeline import (
     CSR,
     DCF,
+    DCF_AVERAGE_EPSILON,
     DomainSpec,
     PartialCsrError,
     average_dcf,
@@ -167,6 +168,29 @@ class TestNormalizeDcf:
         avg = average_dcf([DCF("A", {"X": 4.0}), DCF("B", {"X": 2.0, "Y": 2.0})])
         assert avg.domain == "average"
         assert avg.freq == {"X": 3.0, "Y": 1.0}
+
+    def test_pruning_order_comes_from_the_epsilon(self):
+        """Characterizes today's order, which ``DCF_AVERAGE_EPSILON`` decides.
+
+        A class seen in one domain of n normalizes to n less a term of the
+        epsilon's order, whatever its raw count, so such classes rank above
+        every class other domains also hold, and among themselves only the
+        epsilon term orders them (here by raw count). Replacing the epsilon
+        with an explicit ranking must change this test on purpose.
+        """
+        d0, d1, d2 = normalize_dcf([DCF("d0", {"X": 8.0, "Y": 2.0, "Z": 16.0}),
+                                    DCF("d1", {"Z": 12.0}), DCF("d2", {"Z": 13.0})])
+        assert DCF_AVERAGE_EPSILON == 1e-9
+        assert d0.freq["X"] == pytest.approx(2.999999998875, rel=0, abs=1e-15)
+        assert d0.freq["Y"] == pytest.approx(2.9999999955, rel=0, abs=1e-15)
+        assert d0.freq["Z"] == pytest.approx(1.17, rel=0, abs=0.001)
+        assert 0 < d0.freq["X"] - d0.freq["Y"] < 1e-8
+
+        onto = make_ontology([{"id": c, "label": c.lower()} for c in "XYZ"])
+        csr = CSR("n", {"Z": "z", "Y": "y", "X": "x"})
+        # The most frequent class, Z, is the one that goes.
+        assert list(prune_csr(csr, d0, onto, k=2, alpha=0).entries) == ["Y", "X"]
+        assert list(prune_csr(csr, d0, onto, k=1, alpha=0).entries) == ["X"]
 
 
 class TestBuildPrompt:

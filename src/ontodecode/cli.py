@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import re
+import socket
 import sys
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -452,6 +453,11 @@ def cmd_serve_ngram(args: argparse.Namespace) -> int:
     config = _checked_config(args)
     if not 0 <= args.port <= 65535:
         raise UsageError(f"--port must be in [0, 65535], got {args.port}")
+    try:  # as the server binds: IPv4 only, and "" for every address
+        socket.getaddrinfo(args.host or None, args.port, socket.AF_INET, socket.SOCK_STREAM,
+                           flags=socket.AI_PASSIVE)
+    except (socket.gaierror, UnicodeError) as exc:
+        raise UsageError(f"--host {args.host!r} does not resolve: {exc}") from exc
     if config["lm"]["kind"] != "ngram":
         raise UsageError("serve-ngram requires lm.kind == 'ngram'")
     lm = _build_lm(config)

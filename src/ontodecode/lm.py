@@ -20,8 +20,10 @@ import itertools
 import json
 import logging
 import math
+import re
 import selectors
 import socket
+import socketserver
 import sys
 import threading
 import time
@@ -30,7 +32,6 @@ import weakref
 from collections import Counter
 from collections.abc import Container, Iterator
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 logger = logging.getLogger(__name__)
 
@@ -244,6 +245,41 @@ def _readable(sock: socket.socket) -> bool:
         return bool(selector.select(0))
 
 
+# RFC 9112 message heads with the stdlib's limits; a Content-Length that int() and read() take.
+_MAX_LINE, _MAX_HEADERS, _LENGTH = 65536, 100, "[0-9]{1,18}"
+_REQUEST_LINE = re.compile(r"(?P<method>\S+) (?P<path>\S+) (?P<version>HTTP/1\.[01])")
+_STATUS_LINE = re.compile(r"(?P<version>HTTP/1\.[01]) (?P<status>[1-9][0-9][0-9])(?: .*)?")
+
+
+class _BadHead(http.client.HTTPException):
+    """A message head that breaks the syntax or a limit; args: the status to answer, a message."""
+
+
+def _read_head(rfile, start: re.Pattern) -> tuple[re.Match, dict[str, str], bool]:
+    """The next message head in ``rfile``: the match of ``start`` on its start line, its
+    headers (names in lower case, repeats joined by ", "), and whether it ends its connection."""
+    line = rfile.readline(_MAX_LINE + 1)
+    if not line:
+        raise http.client.RemoteDisconnected("connection closed before a message")
+    if len(line) > _MAX_LINE:
+        raise _BadHead(414, f"start line over {_MAX_LINE} bytes")
+    if not (match := start.fullmatch(text := line.decode("latin-1").rstrip("\r\n"))):
+        raise _BadHead(400, f"malformed start line {text[:80]!r}")
+    headers: dict[str, str] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        if (field := rfile.readline(_MAX_LINE + 1)) in (b"\r\n", b"\n"):
+            tokens = map(str.strip, headers.get("connection", "").lower().split(","))
+            return match, headers, match["version"] == "HTTP/1.0" or "close" in tokens
+        if len(field) > _MAX_LINE:
+            raise _BadHead(431, f"header line over {_MAX_LINE} bytes")
+        name, colon, value = field.decode("latin-1").partition(":")
+        if not (colon and re.fullmatch(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+", name)):
+            raise _BadHead(400, f"malformed header line {field[:80]!r}")
+        name, value = name.lower(), value.strip(" \t\r\n")
+        headers[name] = f"{headers[name]}, {value}" if name in headers else value
+    raise _BadHead(431, f"more than {_MAX_HEADERS} headers")
+
+
 def check_endpoint(endpoint: object) -> urllib.parse.SplitResult:
     """Raise ``ValueError`` unless ``endpoint`` is an http(s) URL of a host, an
     optional port and an optional path, in printable ASCII; return its parts."""
@@ -310,15 +346,22 @@ class RemoteLm(LmContract):
             conn.sock.sendall(f"POST {self._path}{path} HTTP/1.1\r\nHost: {self._host}\r\n"
                               "Content-Type: application/json\r\n"
                               f"Content-Length: {len(body)}\r\n\r\n".encode("ascii") + body)
-            response = http.client.HTTPResponse(conn.sock, method="POST")
-            response.begin()
-            reply = response.read()
+            with conn.sock.makefile("rb") as rfile:
+                status_line, headers, close = _read_head(rfile, _STATUS_LINE)
+                if "transfer-encoding" in headers:
+                    raise LmProtocolError("reply sent Transfer-Encoding, not Content-Length")
+                if (length := headers.get("content-length")) is None:
+                    reply, close = rfile.read(), True  # the body ends with the connection
+                elif not re.fullmatch(_LENGTH, length):
+                    raise _BadHead(400, f"bad Content-Length {length[:80]!r}")
+                elif len(reply := rfile.read(int(length))) < int(length):
+                    raise http.client.IncompleteRead(reply, int(length) - len(reply))
         except BaseException:
             conn.close()
             raise
-        if response.will_close or response.status != 200:
+        if close or status_line["status"] != "200":
             conn.close()  # a retry, or the next request, starts on a new connection
-        return response.status, reply
+        return int(status_line["status"]), reply
 
     def _post(self, path: str, payload: dict) -> dict:
         url = self.endpoint + path
@@ -454,19 +497,9 @@ class LmServer:
     """Threaded HTTP/1.1 server exposing an ``LmContract`` over the wire protocol."""
 
     def __init__(self, lm: LmContract, host: str = "127.0.0.1", port: int = 0):
-        self.httpd = _HttpServer((host, port), _make_handler(lm))
-
-    @property
-    def host(self) -> str:
-        return self.httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.httpd.server_address[1]
-
-    @property
-    def endpoint(self) -> str:
-        return f"http://{self.host}:{self.port}"
+        self.httpd = _TcpServer((host, port), lm)
+        self.host, self.port = self.httpd.server_address[:2]
+        self.endpoint = f"http://{self.host}:{self.port}"
 
     def serve_forever(self) -> None:
         self.httpd.serve_forever()
@@ -481,11 +514,15 @@ class LmServer:
         self.httpd.server_close()
 
 
-class _HttpServer(ThreadingHTTPServer):
+class _TcpServer(socketserver.ThreadingTCPServer):
     """Tracks its open sockets for ``LmServer.shutdown``; a client that left early is no error."""
 
-    def __init__(self, address, handler):
-        super().__init__(address, handler)
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address, lm: LmContract):
+        super().__init__(address, _Handler)
+        self.lm = lm
         self.accepted: set[socket.socket] = set()
 
     def process_request(self, request, client_address):
@@ -544,68 +581,71 @@ def _id_lists(value: object, what: str, vocab_size: int) -> list[list[TokenId]]:
     return [_id_list(item, f"each item of {what}", vocab_size) for item in value]
 
 
-def _make_handler(lm: LmContract):
-    class Handler(BaseHTTPRequestHandler):
-        # Keep-alive. Without Nagle's algorithm the body, written after the
-        # headers, does not wait for the client's delayed ACK.
-        protocol_version = "HTTP/1.1"
-        disable_nagle_algorithm = True
-        held: list[TokenId] | None = None  # one handler per connection: the prefix it holds
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: each request read by ``_read_head`` and answered in one write."""
 
-        def log_message(self, fmt, *args):  # noqa: N802 - stdlib signature
-            logger.debug("lm server: " + fmt, *args)
+    disable_nagle_algorithm = True  # a reply's last segment never waits for an ACK
 
-        def _reply(self, status: int, payload: dict) -> None:
-            body = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            if status != 200:
-                # Ends the connection, so that a body left unread is never
-                # parsed as the next request.
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
-
-        def do_POST(self):  # noqa: N802 - stdlib signature
-            length = self.headers.get("Content-Length", "").strip()
-            if not (length.isascii() and length.isdigit()):
-                self._reply(400, {"error": f"Content-Length must be a byte count, "
-                                           f"got {length!r}"})
-                return
+    def handle(self) -> None:
+        self.held: list[TokenId] | None = None  # the prefix this connection holds
+        self.closing = False
+        while not self.closing:
             try:
-                payload = json.loads(self.rfile.read(int(length)).decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
-                self._reply(400, {"error": f"unreadable JSON request body: {exc}"})
-                return
-            try:
-                if self.path == "/v1/tokenize":
-                    text = payload["text"]
-                    if not isinstance(text, str):
-                        raise TypeError("text must be a string")
-                    self.held = lm.tokenize(text)
-                    self._reply(200, {"ids": self.held})
-                elif self.path == "/v1/logits":
-                    vocab_size = lm.vocab_size
-                    if (prefix := payload["prefix"]) is None and self.held is None:
-                        raise ValueError("prefix is null, but this connection holds none")
-                    prefix = (self.held if prefix is None
-                              else _id_list(prefix, "prefix", vocab_size))
-                    suffixes = _id_lists(payload["suffixes"], "suffixes", vocab_size)
-                    texts = _id_lists(payload["detokenize"], "detokenize", vocab_size)
-                    top_k = payload["top_k"]
-                    check_count("top_k", top_k)
-                    self.held = prefix
-                    steps, texts = lm.step(prefix, suffixes, texts)
-                    self._reply(200, {
-                        "steps": [_wire_step(step, top_k, vocab_size) for step in steps],
-                        "texts": texts,
-                        "eos_id": lm.eos,
-                        "vocab_size": vocab_size,
-                    })
-                else:
-                    self._reply(404, {"error": f"unknown path {self.path!r}"})
-            except (KeyError, TypeError, ValueError) as exc:
-                self._reply(400, {"error": str(exc)})
+                request, headers, self.closing = _read_head(self.rfile, _REQUEST_LINE)
+                if request["method"] != "POST":
+                    raise _BadHead(501, f"method {request['method']!r} is not supported")
+                if "transfer-encoding" in headers:
+                    raise _BadHead(400, "Transfer-Encoding is not supported: send Content-Length")
+                if not re.fullmatch(_LENGTH, length := headers.get("content-length", "")):
+                    raise _BadHead(400, f"Content-Length must be a byte count, got {length!r}")
+                self.do_POST(request["path"], self.rfile.read(int(length)))
+            except http.client.RemoteDisconnected:
+                return  # the client closed its idle connection
+            except _BadHead as exc:
+                self._reply(exc.args[0], {"error": exc.args[1]})
 
-    return Handler
+    def _reply(self, status: int, payload: dict) -> None:
+        # A reply other than 200 ends the connection: an unread body is never a request.
+        self.closing = self.closing or status != 200
+        body = json.dumps(payload).encode("utf-8")
+        close = "Connection: close\r\n" if self.closing else ""
+        self.request.sendall(f"HTTP/1.1 {status} {http.client.responses[status]}\r\nContent-Type: "
+                             f"application/json\r\nContent-Length: {len(body)}\r\n{close}\r\n"
+                             .encode("ascii") + body)
+
+    def do_POST(self, path: str, body: bytes) -> None:  # noqa: N802 - the HTTP method
+        lm = self.server.lm
+        try:
+            payload = json.loads(body.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError) as exc:
+            self._reply(400, {"error": f"unreadable JSON request body: {exc}"})
+            return
+        try:
+            if path == "/v1/tokenize":
+                text = payload["text"]
+                if not isinstance(text, str):
+                    raise TypeError("text must be a string")
+                self.held = lm.tokenize(text)
+                self._reply(200, {"ids": self.held})
+            elif path == "/v1/logits":
+                vocab_size = lm.vocab_size
+                if (prefix := payload["prefix"]) is None and self.held is None:
+                    raise ValueError("prefix is null, but this connection holds none")
+                prefix = (self.held if prefix is None
+                          else _id_list(prefix, "prefix", vocab_size))
+                suffixes = _id_lists(payload["suffixes"], "suffixes", vocab_size)
+                texts = _id_lists(payload["detokenize"], "detokenize", vocab_size)
+                top_k = payload["top_k"]
+                check_count("top_k", top_k)
+                self.held = prefix
+                steps, texts = lm.step(prefix, suffixes, texts)
+                self._reply(200, {
+                    "steps": [_wire_step(step, top_k, vocab_size) for step in steps],
+                    "texts": texts,
+                    "eos_id": lm.eos,
+                    "vocab_size": vocab_size,
+                })
+            else:
+                self._reply(404, {"error": f"unknown path {path!r}"})
+        except (KeyError, TypeError, ValueError) as exc:
+            self._reply(400, {"error": str(exc)})

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -592,8 +593,19 @@ class TestConfigErrors:
         ("serve-ngram --config {config} --port 70000", "--port must be in [0, 65535], got 70000"),
         ("serve-ngram --config {config} --port 65536", "--port must be in [0, 65535], got 65536"),
         ("serve-ngram --config {config} --port -1", "--port must be in [0, 65535], got -1"),
+        # Checked before the model trains; it trained, then exited 1 with a bare gaierror.
+        ("serve-ngram --config {config} --host 999.1.1.1",
+         "--host '999.1.1.1' does not resolve: [Errno -2] Name or service not known"),
     ])
-    def test_usage_error_message(self, fixture_tree, capsys, tmp_path, argv, message):
+    def test_usage_error_message(self, fixture_tree, capsys, monkeypatch, tmp_path, argv,
+                                 message):
+        def no_lookup(*args, **kwargs):
+            raise socket.gaierror(-2, "Name or service not known")
+
+        trained = []
+        monkeypatch.setattr(socket, "getaddrinfo", no_lookup)  # no DNS query runs
+        monkeypatch.setattr(cli, "train_ngram",
+                            lambda *args: trained.append(args) or train_ngram(*args))
         paths = {
             "config": fixture_tree["config"],
             "admission": fixture_tree["admission"],
@@ -610,6 +622,8 @@ class TestConfigErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "UsageError"
         assert error["message"].startswith(message.format(**paths))
+        if argv.startswith("serve-ngram"):
+            assert trained == []  # every serve-ngram flag is checked before the model trains
 
     def test_out_of_range_prune_flag_is_usage_error(self, fixture_tree, capsys):
         config = str(fixture_tree["config"])

@@ -1,6 +1,6 @@
+import contextlib
 import gc
 import http.client
-import io
 import itertools
 import json
 import logging
@@ -440,14 +440,21 @@ def _until(condition, timeout: float = 5.0) -> None:
         time.sleep(0.01)
 
 
-def _raw_reply(server, request: bytes) -> bytes:
-    """All that ``server`` sends on one new connection after ``request``, up to EOF."""
+def _raw_reply(server, *writes: bytes, half_close: bool = False) -> bytes:
+    """All that ``server`` sends on one new connection after ``writes``, one ``sendall``
+    each, up to EOF; ``half_close`` then ends the client's side of the stream."""
     with socket.create_connection((server.host, server.port), timeout=2) as sock:
-        sock.sendall(request)
+        for data in writes:
+            sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
         chunks = []
         while chunk := sock.recv(65536):
             chunks.append(chunk)
     return b"".join(chunks)
+
+
+_TOKENIZE = b'POST /v1/tokenize HTTP/1.1\r\nHost: lm\r\nContent-Length: 15\r\n\r\n{"text": "the"}'
 
 
 def _per_id_rule(value: object, vocab_size: int) -> bool:
@@ -688,6 +695,9 @@ class TestWireProtocol:
         ("/v1/tokenize", "-1", b'{"text": "the"}', 400),
         ("/v1/tokenize", None, b'{"text": "the"}', 400),
         ("/v1/tokenize", "abc", b'{"text": "the"}', 400),
+        # Too long for a read, or for int(): each had raised in the handler, with no reply.
+        ("/v1/tokenize", "1" * 19, b'{"text": "the"}', 400),
+        ("/v1/tokenize", "1" * 5000, b'{"text": "the"}', 400),
         ("/v1/tokenize", "15", b'{"text": "the"]', 400),
         ("/v1/generate", "15", b'{"text": "the"}', 404),
     ])
@@ -705,6 +715,60 @@ class TestWireProtocol:
         assert json.loads(payload)["error"]
         assert capfd.readouterr().err == ""
         assert RemoteLm(server.endpoint, top_k=2).tokenize("the dog") == lm.tokenize("the dog")
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        pytest.param(b"GET /v1/tokenize HTTP/1.1\r\nHost: lm\r\n\r\n", 501, id="GET"),
+        pytest.param(_TOKENIZE.replace(b"HTTP/1.1", b"HTTP/1.0"), 200, id="HTTP/1.0"),
+        pytest.param(_TOKENIZE.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n"), 200,
+                     id="Connection: close"),
+        pytest.param(b"POST /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414,
+                     id="request line over 65536 bytes"),
+        pytest.param(b"POST /v1/tokenize HTTP/1.1\r\nX: " + b"a" * 65536 + b"\r\n\r\n", 431,
+                     id="header line over 65536 bytes"),
+        pytest.param(b"POST /v1/tokenize HTTP/1.1\r\n" + b"X: a\r\n" * 101 + b"\r\n", 431,
+                     id="101 headers"),
+        pytest.param(b"POST /v1/tokenize HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                     b'f\r\n{"text": "the"}\r\n0\r\n\r\n', 400, id="chunked"),
+    ])
+    def test_request_answered_then_the_server_closes(self, served_ngram, capfd,
+                                                     request_bytes, status):
+        lm, server = served_ngram
+        # The client keeps writing open: the EOF that ends the reply is the server's.
+        reply = _raw_reply(server, request_bytes)
+        assert re.findall(rb"HTTP/1\.[01] (\d{3})", reply) == [str(status).encode("ascii")]
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert b"\r\nConnection: close\r\n" in head + b"\r\n"
+        if status == 200:
+            assert json.loads(payload) == {"ids": lm.tokenize("the")}
+        else:
+            assert json.loads(payload)["error"]
+        assert capfd.readouterr().err == ""
+        assert RemoteLm(server.endpoint, top_k=2).tokenize("the dog") == lm.tokenize("the dog")
+
+    @pytest.mark.parametrize("bytewise", [False, True], ids=["one write", "one byte a write"])
+    def test_pipelined_requests_get_one_write_per_reply(self, served_ngram, monkeypatch,
+                                                        bytewise):
+        lm, server = served_ngram
+        sendall = socket.socket.sendall
+        writes = []
+
+        def spy(sock, data, *args):
+            if sock.getsockname()[1] == server.port:  # the server's end, not the client's
+                writes.append(bytes(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", spy)
+        requests = _TOKENIZE + _TOKENIZE.replace(b"the", b"dog")
+        reply = _raw_reply(server, *([requests[i:i + 1] for i in range(len(requests))]
+                                     if bytewise else [requests]), half_close=True)
+        assert b"".join(writes) == reply
+        assert len(writes) == 2
+        for write, text in zip(writes, ["the", "dog"]):
+            head, _, body = write.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+            assert b"Connection" not in head
+            assert f"\r\nContent-Length: {len(body)}".encode("ascii") in head
+            assert json.loads(body) == {"ids": lm.tokenize(text)}
 
     @pytest.mark.parametrize("path, payload", [
         ("/v1/generate", {"text": "the"}),
@@ -821,20 +885,14 @@ class TestWireProtocol:
         failed = []
 
         class FailNullOnce(server.httpd.RequestHandlerClass):
-            def do_POST(self):  # noqa: N802 - stdlib signature
-                body = self.rfile.read(int(self.headers["Content-Length"]))
+            def do_POST(self, path, body):  # noqa: N802 - the handler's name
                 if not failed and json.loads(body).get("prefix", []) is None:
                     failed.append(body)
                     # A 500 that keeps the connection open: the client must leave it.
-                    self.send_response(500)
-                    self.send_header("Content-Length", "0")
-                    self.end_headers()
+                    self.request.sendall(b"HTTP/1.1 500 Internal Server Error\r\n"
+                                         b"Content-Length: 0\r\n\r\n")
                     return
-                rfile, self.rfile = self.rfile, io.BytesIO(body)
-                try:
-                    super().do_POST()
-                finally:
-                    self.rfile = rfile
+                super().do_POST(path, body)
 
         monkeypatch.setattr(server.httpd, "RequestHandlerClass", FailNullOnce)
         accepted, _ = _connections(server, monkeypatch)
@@ -1312,3 +1370,92 @@ def test_remote_lm_rejects_changed_eos_or_vocab_size(eos_id, vocab_size):
         httpd.shutdown()
         httpd.server_close()
 
+
+
+def _raw_server(reply: bytes, bytewise: bool = False):
+    """A stdlib server that answers each POST with the bytes ``reply``, one byte a
+    write if ``bytewise``, and ends the connection after a reply that is HTTP/1.0 or
+    says ``Connection: close``. Returns it and its hits and client ports."""
+    state = {"hits": 0, "ports": set()}
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True  # each byte of a bytewise reply is its own segment
+
+        def log_message(self, *args):
+            pass
+
+        def do_POST(self):
+            state["hits"] += 1
+            state["ports"].add(self.client_address[1])
+            self.rfile.read(int(self.headers["Content-Length"]))
+            # A client that rejects the head may close before the rest is written.
+            with contextlib.suppress(OSError):
+                for i in range(len(reply)) if bytewise else [None]:
+                    self.wfile.write(reply if i is None else reply[i:i + 1])
+            self.close_connection = (reply.startswith(b"HTTP/1.0 ")
+                                     or b"\r\nConnection: close\r\n" in reply)
+
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    # A short poll interval, so that shutdown() returns at once.
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
+    thread.start()
+    return httpd, state
+
+
+def _against_raw_server(reply: bytes, call, bytewise: bool = False, retries: int = 1):
+    """``call(remote)`` for a ``RemoteLm`` of the given ``retries`` against ``_raw_server``:
+    what it returns, and the server's state."""
+    httpd, state = _raw_server(reply, bytewise)
+    try:
+        remote = RemoteLm(f"http://127.0.0.1:{httpd.server_address[1]}", top_k=5, timeout=1,
+                          retries=retries, backoff=0)
+        return call(remote), state
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+
+
+_BODY = _logits_body([0]).encode("utf-8")
+
+
+@pytest.mark.parametrize("reply, bytewise, connections", [
+    pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_BODY), _BODY),
+                 True, 1, id="one byte a write"),
+    pytest.param(b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + _BODY,
+                 False, 2, id="HTTP/1.0, close-delimited"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: %d\r\n\r\n%s"
+                 % (len(_BODY), _BODY), False, 2, id="Connection: close"),
+])
+def test_remote_lm_reads_each_framing_of_a_reply(reply, bytewise, connections):
+    # One attempt each: a reply read wrong would raise LmUnavailableError.
+    steps, state = _against_raw_server(
+        reply, lambda remote: [remote.next_logits([1]) for _ in range(2)], bytewise)
+    assert [step.logits for step in steps] == [{0: -1.0}] * 2
+    assert state["hits"] == 2
+    # A reply that ends its connection sends the next request on a new one.
+    assert len(state["ports"]) == connections
+
+
+@pytest.mark.parametrize("reply, error, hits", [
+    # Chunked framing is outside the protocol: no retry can fix it.
+    pytest.param(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                 b"%x\r\n%s\r\n0\r\n\r\n" % (len(_BODY), _BODY), LmProtocolError, 1,
+                 id="chunked"),
+    pytest.param(b"garbage\r\n\r\n", LmUnavailableError, 3, id="garbage status line"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nX: " + b"a" * 65536 + b"\r\nContent-Length: %d\r\n\r\n%s"
+                 % (len(_BODY), _BODY), LmUnavailableError, 3, id="header line over 65536 bytes"),
+])
+def test_remote_lm_rejects_a_bad_framing(reply, error, hits):
+    def call(remote):
+        with pytest.raises(error) as caught:
+            remote.next_logits([1])
+        return caught.value
+
+    raised, state = _against_raw_server(reply, call, retries=3)
+    assert state["hits"] == hits
+    if error is LmUnavailableError:  # each attempt failed on the head
+        assert isinstance(raised.__cause__, http.client.HTTPException)
+    else:
+        assert "Transfer-Encoding" in str(raised)

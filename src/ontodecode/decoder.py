@@ -13,7 +13,9 @@ beams are detokenized (in the next step's LM call), annotated and scored:
 and the log-softmax of H+P+S across the group's beams is added to each
 beam's cumulative log-probability, steering subsequent pruning. All three
 scores define 0/0 as 0. Neither ROUGE-2 reference changes within one
-decode, so a ``ScoringContext`` counts their bigrams once per decode.
+decode, so a ``ScoringContext`` counts the restrictions' bigrams once per
+decode. The note's bigrams are counted once per note: a note's concept
+decodes run one after another, and each shares the first one's counts.
 
 How the window adjustment combines with token likelihood is a policy
 choice: adding the log-softmax keeps both terms in the log domain, and
@@ -23,6 +25,7 @@ one-line change.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -124,6 +127,12 @@ def similarity_score(window_text: str, note: str, s_bf: float) -> float:
     return s_bf * rouge2(window_text, note)
 
 
+@functools.lru_cache(maxsize=1)
+def note_bigrams(note: str) -> Counter[tuple[str, ...]]:
+    """The bigram counts of ``note``, shared by its concept decodes; never mutate them."""
+    return ngram_counts(note, 2)
+
+
 @dataclass
 class ScoringContext:
     """What every window of one decode is scored against, counted once.
@@ -144,7 +153,7 @@ class ScoringContext:
     @classmethod
     def build(cls, onto: Ontology, lex: Lexicon, base: ClassId | None, note: str,
               cfg: DecodeConfig) -> ScoringContext:
-        ctx = cls(onto, lex, base, cfg, ngram_counts(note, 2))
+        ctx = cls(onto, lex, base, cfg, note_bigrams(note))
         if base is not None:
             ctx.related = onto.restriction_classes(base)
             ctx.restriction_bigrams = ngram_counts(onto.verbalize_restrictions(base), 2)

@@ -135,12 +135,10 @@ class NgramLm(LmContract):
         self._steps: dict[tuple[TokenId, ...], tuple[dict[TokenId, float], float]] = {}
 
     def tokenize(self, text: str) -> list[TokenId]:
-        ids = []
-        for word in text.split():
-            if word not in self._ids:
-                raise ValueError(f"word not in model vocabulary: {word!r}")
-            ids.append(self._ids[word])
-        return ids
+        try:
+            return list(map(self._ids.__getitem__, text.split()))  # one C-level pass
+        except KeyError as exc:
+            raise ValueError(f"word not in model vocabulary: {exc.args[0]!r}") from None
 
     def detokenize(self, ids: list[TokenId]) -> str:
         words = []
@@ -247,6 +245,10 @@ def _readable(sock: socket.socket) -> bool:
 
 # RFC 9112 message heads with the stdlib's limits; a Content-Length that int() and read() take.
 _MAX_LINE, _MAX_HEADERS, _LENGTH = 65536, 100, "[0-9]{1,18}"
+# The largest request or reply body either end reads: 16 MiB. Served summarize runs at
+# DecodeConfig's defaults sent at most 13,287 bytes (a step reply at top_k 50); a dense
+# reply of 10 steps over a 50,000-token vocabulary is about 14 MB.
+MAX_BODY = 2**24
 _REQUEST_LINE = re.compile(r"(?P<method>\S+) (?P<path>\S+) (?P<version>HTTP/1\.[01])")
 _STATUS_LINE = re.compile(r"(?P<version>HTTP/1\.[01]) (?P<status>[1-9][0-9][0-9])(?: .*)?")
 
@@ -351,9 +353,14 @@ class RemoteLm(LmContract):
                 if "transfer-encoding" in headers:
                     raise LmProtocolError("reply sent Transfer-Encoding, not Content-Length")
                 if (length := headers.get("content-length")) is None:
-                    reply, close = rfile.read(), True  # the body ends with the connection
+                    # The body ends with the connection, or one byte past the cap.
+                    reply, close = rfile.read(MAX_BODY + 1), True
+                    if len(reply) > MAX_BODY:
+                        raise LmProtocolError(f"reply body over {MAX_BODY} bytes")
                 elif not re.fullmatch(_LENGTH, length):
                     raise _BadHead(400, f"bad Content-Length {length[:80]!r}")
+                elif int(length) > MAX_BODY:
+                    raise LmProtocolError(f"reply body of {length} bytes, over {MAX_BODY}")
                 elif len(reply := rfile.read(int(length))) < int(length):
                     raise http.client.IncompleteRead(reply, int(length) - len(reply))
         except BaseException:
@@ -406,7 +413,7 @@ class RemoteLm(LmContract):
         ids = data.get("ids")
         if not isinstance(ids, list):
             raise LmProtocolError("tokenize response missing 'ids' list")
-        if not all(is_integer(i) for i in ids):
+        if not {*map(type, ids)} <= {int}:  # a C-level pass, as in _id_list
             raise LmProtocolError("tokenize response holds an id that is not an integer")
         self._local.conn.held = list(ids)
         return ids
@@ -598,6 +605,8 @@ class _Handler(socketserver.StreamRequestHandler):
                     raise _BadHead(400, "Transfer-Encoding is not supported: send Content-Length")
                 if not re.fullmatch(_LENGTH, length := headers.get("content-length", "")):
                     raise _BadHead(400, f"Content-Length must be a byte count, got {length!r}")
+                if int(length) > MAX_BODY:
+                    raise _BadHead(413, f"request body of {length} bytes, over {MAX_BODY}")
                 self.do_POST(request["path"], self.rfile.read(int(length)))
             except http.client.RemoteDisconnected:
                 return  # the client closed its idle connection

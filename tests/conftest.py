@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ontodecode.annotator import build_lexicon
+from ontodecode.decoder import DecodeConfig
 from ontodecode.lm import LmContract, LmServer, LmStep, NgramLm, train_ngram
 from ontodecode.ontology import Ontology
 from ontodecode.pipeline import build_prompt
@@ -284,3 +285,12 @@ def build_fixture_tree(root: Path) -> dict[str, Path]:
 @pytest.fixture
 def fixture_tree(tmp_path):
     return build_fixture_tree(tmp_path / "fixture")
+
+
+@pytest.fixture
+def fixture_models(fixture_tree):
+    """The fixture tree's 2-gram model, ontology, lexicon and decode config, in process."""
+    onto = make_ontology(FIXTURE_CLASSES)
+    lm = train_ngram(fixture_tree["lm_corpus"].read_text(encoding="utf-8").splitlines(), 2)
+    cfg = DecodeConfig(**json.loads(fixture_tree["config"].read_text())["decode"])
+    return lm, onto, build_lexicon(onto), cfg

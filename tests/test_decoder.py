@@ -200,12 +200,36 @@ class TestScoringContext:
 
         monkeypatch.setattr(metrics, "ngram_counts", counting)
         monkeypatch.setattr(decoder, "ngram_counts", counting)
+        decoder.note_bigrams.cache_clear()  # an earlier test may have counted this note
         cfg = _config(beam_size=4, num_groups=2, diversity_penalty=0.5,
                       window=1, max_tokens=6, h_bf=3, p_bf=10, s_bf=10)
-        decode(random_ngram_lm(random.Random(37)), "", medical_ontology, medical_lexicon,
-               "Fever", note, cfg)
+        for base in ("Fever", "Drug"):
+            decode(random_ngram_lm(random.Random(37)), "", medical_ontology, medical_lexicon,
+                   base, note, cfg)
         assert counted.count(note) == 1
         assert len(counted) > 2  # the windows went through the patched counter too
+
+    def test_note_counts_follow_the_note(self, medical_ontology, medical_lexicon):
+        cfg = _config()
+        a, b = "fever then aspirin then fever", "aspirin given at night"
+        contexts = [ScoringContext.build(medical_ontology, medical_lexicon, "Fever", note, cfg)
+                    for note in (a, b, a, a)]
+        for ctx, note in zip(contexts, (a, b, a, a)):
+            assert ctx.note_bigrams == metrics.ngram_counts(note, 2)
+        # Consecutive decodes of one note share one count.
+        assert contexts[3].note_bigrams is contexts[2].note_bigrams
+
+    def test_scoring_leaves_the_shared_counts_as_counted(self, medical_ontology,
+                                                         medical_lexicon):
+        note = "w0 w1 w0 aspirin fever w1 w0"
+        cfg = _config(similarity_full_beam=True)
+        ctx = ScoringContext.build(medical_ontology, medical_lexicon, "Fever", note, cfg)
+        for window in ("w0 w1", "fever w9 w8", "", "aspirin fever w1 w0 w0 w1"):
+            ctx.scores(window, window + " w1 w0 w7")
+        # Items, not ==: Counter equality ignores a gram inserted with count 0.
+        fresh = metrics.ngram_counts(note, 2)
+        assert list(ctx.note_bigrams.items()) == list(fresh.items())
+        assert decoder.note_bigrams(note) is ctx.note_bigrams
 
 
 # Score groups whose log-softmax comes out differently from a left-to-right

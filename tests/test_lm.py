@@ -21,6 +21,7 @@ from ontodecode import cli
 from ontodecode.annotator import build_lexicon
 from ontodecode.decoder import DecodeConfig, decode
 from ontodecode.lm import (
+    MAX_BODY,
     LmProtocolError,
     LmStep,
     LmUnavailableError,
@@ -151,8 +152,13 @@ class TestTrainNgram:
 
     def test_unknown_word(self):
         lm = train_ngram(["a b"], 2)
-        with pytest.raises(ValueError, match="vocabulary"):
-            lm.tokenize("a z")
+        # The first unknown word is named.
+        with pytest.raises(ValueError, match="^word not in model vocabulary: 'z'$"):
+            lm.tokenize("a z y")
+
+    @pytest.mark.parametrize("text", ["", " \t\n "])
+    def test_blank_text_has_no_ids(self, text):
+        assert train_ngram(["a b"], 2).tokenize(text) == []
 
     def test_detokenize_roundtrip_skips_eos(self):
         lm = train_ngram(["a b c"], 2)
@@ -698,6 +704,9 @@ class TestWireProtocol:
         # Too long for a read, or for int(): each had raised in the handler, with no reply.
         ("/v1/tokenize", "1" * 19, b'{"text": "the"}', 400),
         ("/v1/tokenize", "1" * 5000, b'{"text": "the"}', 400),
+        # Over the cap: answered before any body byte is read, so none is sent.
+        ("/v1/tokenize", "1" + "0" * 17, b"", 413),
+        ("/v1/tokenize", str(MAX_BODY + 1), b"", 413),
         ("/v1/tokenize", "15", b'{"text": "the"]', 400),
         ("/v1/generate", "15", b'{"text": "the"}', 404),
     ])
@@ -1256,6 +1265,10 @@ class TestRemoteValidation:
         {"ids": [None]},
         {"ids": [1.9]},
         {"ids": [0, True]},
+        {"ids": [True]},
+        {"ids": [1.5]},
+        {"ids": ["3"]},
+        {"ids": [0, 1, 2.0]},
     ])
     def test_tokenize_id_not_an_integer_rejected(self, body):
         with pytest.raises(LmProtocolError, match="not an integer"):
@@ -1438,16 +1451,22 @@ def test_remote_lm_reads_each_framing_of_a_reply(reply, bytewise, connections):
     assert len(state["ports"]) == connections
 
 
-@pytest.mark.parametrize("reply, error, hits", [
-    # Chunked framing is outside the protocol: no retry can fix it.
+@pytest.mark.parametrize("reply, error, hits, match", [
+    # Chunked framing and a body over the cap are outside the protocol: no retry can fix them.
     pytest.param(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
                  b"%x\r\n%s\r\n0\r\n\r\n" % (len(_BODY), _BODY), LmProtocolError, 1,
-                 id="chunked"),
-    pytest.param(b"garbage\r\n\r\n", LmUnavailableError, 3, id="garbage status line"),
+                 "Transfer-Encoding", id="chunked"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (MAX_BODY + 1, _BODY),
+                 LmProtocolError, 1, f"of {MAX_BODY + 1} bytes, over {MAX_BODY}",
+                 id="Content-Length over the cap"),
+    pytest.param(b"HTTP/1.0 200 OK\r\n\r\n" + _BODY + b" " * MAX_BODY, LmProtocolError, 1,
+                 f"over {MAX_BODY} bytes", id="close-framed body over the cap"),
+    pytest.param(b"garbage\r\n\r\n", LmUnavailableError, 3, None, id="garbage status line"),
     pytest.param(b"HTTP/1.1 200 OK\r\nX: " + b"a" * 65536 + b"\r\nContent-Length: %d\r\n\r\n%s"
-                 % (len(_BODY), _BODY), LmUnavailableError, 3, id="header line over 65536 bytes"),
+                 % (len(_BODY), _BODY), LmUnavailableError, 3, None,
+                 id="header line over 65536 bytes"),
 ])
-def test_remote_lm_rejects_a_bad_framing(reply, error, hits):
+def test_remote_lm_rejects_a_bad_framing(reply, error, hits, match):
     def call(remote):
         with pytest.raises(error) as caught:
             remote.next_logits([1])
@@ -1458,4 +1477,4 @@ def test_remote_lm_rejects_a_bad_framing(reply, error, hits):
     if error is LmUnavailableError:  # each attempt failed on the head
         assert isinstance(raised.__cause__, http.client.HTTPException)
     else:
-        assert "Transfer-Encoding" in str(raised)
+        assert match in str(raised)

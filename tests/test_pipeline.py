@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from ontodecode import decoder
 from ontodecode.annotator import annotate, build_lexicon
 from ontodecode.decoder import DecodeConfig
 from ontodecode.lm import LmUnavailableError
@@ -27,7 +28,9 @@ from ontodecode.pipeline import (
     verbalize,
 )
 
-from conftest import ConstantLm, bad_counts, count_error, make_ontology, random_dag
+from conftest import (
+    ADMISSION_NOTES, ConstantLm, bad_counts, count_error, make_ontology, random_dag,
+)
 
 
 def small_cfg(**overrides) -> DecodeConfig:
@@ -299,6 +302,16 @@ class TestExtractCsr:
             extract_csr(lm, medical_ontology, medical_lexicon, ("n1", text), small_cfg())
         assert err.value.note_id == "n1"
         assert list(err.value.entries) == ["Fever"]
+
+    def test_a_note_extracts_the_same_after_another_note(self, fixture_models):
+        lm, onto, lex, cfg = fixture_models
+        a, b = ((note["id"], note["text"]) for note in ADMISSION_NOTES)
+        alone = {}
+        for note in (a, b):
+            decoder.note_bigrams.cache_clear()
+            alone[note] = extract_csr(lm, onto, lex, note, cfg)
+        for note in (a, b, a):
+            assert extract_csr(lm, onto, lex, note, cfg) == alone[note]
 
 
 class TestPruneCsr:
